@@ -66,6 +66,7 @@ from .node import (
     AdditiveNoise,
     CandidateReport,
     NodeState,
+    NonFiniteWeights,
     SignFlip,
     apply_alpha,
     derive_seed,

@@ -1,12 +1,12 @@
 """Experiment orchestration: config, round loop, baselines, CSV metrics.
 
-The round loop is barrier-synchronized and strictly ordered (train/upload in
-node order, then defence, aggregation, candidate evaluation, negotiation,
-personalization), and every cross-phase artifact travels through the ledger:
-uploads are read back before aggregating, the global model is read back before
-mixing, candidate reports are read back before negotiating. Two runs with the
-same config and seed therefore produce identical metrics (timing columns
-aside) and identical ledger hashes.
+The round loop is barrier-synchronized and strictly ordered (training of all
+active nodes, uploads in node order, then defence, aggregation, candidate
+evaluation, negotiation, personalization), and every cross-phase artifact
+travels through the ledger: uploads are read back before aggregating, the
+global model is read back before mixing, candidate reports are read back
+before negotiating. Two runs with the same config and seed therefore produce
+identical metrics (timing columns aside) and identical ledger hashes.
 
 Schemes
   scei         defence + negotiated alpha each round
@@ -51,7 +51,8 @@ CSV_HEADER = "round,node_id,accuracy,alpha,flagged,expelled,train_s,negotiate_s,
 
 
 class ExperimentAbort(RuntimeError):
-    """The round loop cannot continue (for example, every node got flagged)."""
+    """The round loop cannot continue (for example, every node got flagged, or
+    local training left non-finite weights)."""
 
 
 class Scheme(enum.Enum):
@@ -210,16 +211,21 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
     for round_no in range(1, cfg.rounds + 1):
         state = replace(state, round_no=round_no)
         active_at_start = list(state.active_nodes)
-        train_s = {}
         ledger_s = {n: 0.0 for n in active_at_start}
         negotiate_s = {n: 0.0 for n in active_at_start}
 
-        # phase 1: local training and upload, ascending node order
-        for node_id in active_at_start:
-            nd = by_id[node_id]
-            with _Stopwatch() as sw:
-                upload = node_mod.local_round(nd, cfg.arch, cfg.training, round_no)
-            train_s[node_id] = sw.total
+        # phase 1: local training of every active node, then uploads in
+        # ascending node order; each node is charged an equal share of the
+        # stacked training time
+        with _Stopwatch() as sw:
+            try:
+                trained = node_mod.local_round(
+                    [by_id[n] for n in active_at_start], cfg.arch, cfg.training, round_no
+                )
+            except node_mod.NonFiniteWeights as exc:
+                raise ExperimentAbort(f"round {round_no}: {exc}") from exc
+        train_s = dict.fromkeys(active_at_start, sw.total / len(active_at_start))
+        for node_id, upload in zip(active_at_start, trained):
             with _Stopwatch() as sw:
                 book.append(
                     round_no,

@@ -62,22 +62,27 @@ class LedgerRecord:
     hash: bytes
 
 
-def hash_input(index, round_no, kind, node_id, payload, prev_hash) -> bytes:
-    header = _HEADER.pack(
+def _pack_header(index, round_no, kind, node_id, paylen) -> bytes:
+    return _HEADER.pack(
         index,
         round_no,
         kind.value,
         0 if node_id is None else 1,
         0 if node_id is None else node_id,
-        len(payload),
+        paylen,
     )
-    return header + payload + prev_hash
+
+
+def hash_input(index, round_no, kind, node_id, payload, prev_hash) -> bytes:
+    return _pack_header(index, round_no, kind, node_id, len(payload)) + payload + prev_hash
 
 
 def compute_hash(index, round_no, kind, node_id, payload, prev_hash) -> bytes:
-    return hashlib.sha256(
-        hash_input(index, round_no, kind, node_id, payload, prev_hash)
-    ).digest()
+    """SHA-256 of hash_input(...), fed in pieces so the payload is not copied."""
+    digest = hashlib.sha256(_pack_header(index, round_no, kind, node_id, len(payload)))
+    digest.update(payload)
+    digest.update(prev_hash)
+    return digest.digest()
 
 
 def record_to_bytes(record: LedgerRecord) -> bytes:
@@ -95,6 +100,12 @@ def record_to_bytes(record: LedgerRecord) -> bytes:
 
 
 def record_from_bytes(buf: bytes) -> LedgerRecord:
+    """Parse one record; its payload and hashes are bytes copied out of buf."""
+    return _parse_record(memoryview(buf), owned=True)
+
+
+def _parse_record(buf: memoryview, owned: bool) -> LedgerRecord:
+    """Parse one record; unless owned, its payload and hashes are views into buf."""
     if len(buf) < _FIXED_OVERHEAD:
         raise LedgerFormatError(f"record too short ({len(buf)} bytes)")
     index, round_no, kind_code, flag, node_id, paylen = _HEADER.unpack_from(buf, 0)
@@ -114,6 +125,8 @@ def record_from_bytes(buf: bytes) -> LedgerRecord:
     payload = buf[_HEADER.size : _HEADER.size + paylen]
     prev_hash = buf[_HEADER.size + paylen : _HEADER.size + paylen + HASH_LEN]
     stored_hash = buf[_HEADER.size + paylen + HASH_LEN :]
+    if owned:
+        payload, prev_hash, stored_hash = bytes(payload), bytes(prev_hash), bytes(stored_hash)
     return LedgerRecord(
         index=index,
         round_no=round_no,
@@ -181,15 +194,22 @@ class Ledger:
     def query_round(self, round_no: int, kind: RecordKind) -> list:
         return [r for r in self.records if r.round_no == round_no and r.kind is kind]
 
-    def to_bytes(self) -> bytes:
-        frames = []
+    def _frame_parts(self):
+        """Every dump frame as its pieces: u32 length, header, payload, prev hash, hash."""
         for rec in self.records:
-            body = record_to_bytes(rec)
-            frames.append(struct.pack("<I", len(body)) + body)
-        return b"".join(frames)
+            paylen = len(rec.payload)
+            yield struct.pack("<I", _FIXED_OVERHEAD + paylen)
+            yield _pack_header(rec.index, rec.round_no, rec.kind, rec.node_id, paylen)
+            yield rec.payload
+            yield rec.prev_hash
+            yield rec.hash
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self._frame_parts())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Ledger":
+        view = memoryview(blob)
         records = []
         offset = 0
         while offset < len(blob):
@@ -199,7 +219,7 @@ class Ledger:
             offset += 4
             if offset + length > len(blob):
                 raise LedgerFormatError("truncated record frame")
-            records.append(record_from_bytes(blob[offset : offset + length]))
+            records.append(_parse_record(view[offset : offset + length], owned=True))
             offset += length
         if not records:
             raise LedgerFormatError("empty dump")
@@ -208,8 +228,9 @@ class Ledger:
         return ledger
 
     def write_dump(self, path) -> None:
+        """Write the dump piece by piece; the file equals to_bytes() without a copy in memory."""
         with open(path, "wb") as f:
-            f.write(self.to_bytes())
+            f.writelines(self._frame_parts())
 
     @classmethod
     def read_dump(cls, path) -> "Ledger":
@@ -223,6 +244,8 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     A frame that cannot be parsed marks its own index bad; otherwise the usual
     hash/linkage checks apply. Returns None when everything is intact.
     """
+    # the records only live for this check, so they stay views into blob
+    view = memoryview(blob)
     records = []
     offset = 0
     index = 0
@@ -234,7 +257,7 @@ def verify_dump_bytes(blob: bytes) -> int | None:
         if offset + length > len(blob):
             return index
         try:
-            records.append(record_from_bytes(blob[offset : offset + length]))
+            records.append(_parse_record(view[offset : offset + length], owned=False))
         except LedgerFormatError:
             return index
         offset += length

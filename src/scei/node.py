@@ -18,6 +18,13 @@ from .model import MlpArchitecture, TrainingConfig, evaluate, sgd_train
 _TRAIN_TAG = 11
 _NOISE_TAG = 12
 
+# Most parameter bytes one stacked sgd_train call takes. Stacking pays off
+# where a step costs numpy call overhead; once a stack outgrows the core's
+# cache it trains slower than its nodes one by one (199,210 parameters,
+# 10 nodes, one epoch of 200 samples, on a 2-core Xeon with 2 MiB of L2 per
+# core: 0.23 s stacked, 0.18 s one by one; stacks of 1-3 nodes tie).
+_STACK_BYTES = 4 * 2**20
+
 
 def derive_seed(*parts) -> int:
     """Deterministic child seed from a tuple of integers."""
@@ -65,17 +72,50 @@ def _attack_active(attack, round_no: int) -> bool:
     return attack is not None and round_no >= attack.start_round
 
 
-def local_round(node: NodeState, arch: MlpArchitecture, cfg: TrainingConfig, round_no: int) -> np.ndarray:
-    """Train from the personal model and return the vector to upload.
+class NonFiniteWeights(ArithmeticError):
+    """Local training left inf or nan in some nodes' weights."""
 
-    The shuffle seed derives from (cfg.rng_seed, round), the attack noise seed
-    from (cfg.rng_seed, node_id, round), so runs replay exactly. An active
-    attack corrupts only the returned upload; node.local_weights stays honest.
+    def __init__(self, node_ids):
+        self.node_ids = tuple(node_ids)
+        super().__init__(f"node(s) {', '.join(map(str, self.node_ids))} trained to non-finite weights")
+
+
+def local_round(nodes, arch: MlpArchitecture, cfg: TrainingConfig, round_no: int) -> list:
+    """Train each node from its personal model and return the vectors to upload.
+
+    `nodes` are the round's active nodes in ascending id order; the uploads
+    come back in that order. Nodes with equal train sizes train together in
+    stacked sgd_train calls of at most _STACK_BYTES of parameters, and each
+    gets its own copy of its row. The shuffle seed derives from
+    (cfg.rng_seed, round), the attack noise seed from (cfg.rng_seed,
+    node_id, round), so runs replay exactly. An active attack corrupts only
+    the returned upload; node.local_weights stays honest.
+    Raises NonFiniteWeights if training diverged for any node.
     """
-    shuffle_seed = derive_seed(cfg.rng_seed, round_no, _TRAIN_TAG)
-    node.local_weights = sgd_train(
-        node.personalized, arch, replace(cfg, rng_seed=shuffle_seed), node.split.train
-    )
+    train_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, round_no, _TRAIN_TAG))
+    per_stack = max(1, _STACK_BYTES // (8 * arch.param_count))
+    same_length = {}
+    for node in nodes:
+        same_length.setdefault(len(node.split.train), []).append(node)
+    groups = [g[i : i + per_stack] for g in same_length.values() for i in range(0, len(g), per_stack)]
+    diverged = []
+    for group in groups:
+        stack = sgd_train(
+            np.stack([node.personalized for node in group]),
+            arch,
+            train_cfg,
+            [node.split.train for node in group],
+        )
+        if not np.isfinite(stack).all():
+            diverged += [node.node_id for node, row in zip(group, stack) if not np.isfinite(row).all()]
+        for node, row in zip(group, stack):
+            node.local_weights = row.copy()
+    if diverged:
+        raise NonFiniteWeights(sorted(diverged))
+    return [_upload(node, cfg, round_no) for node in nodes]
+
+
+def _upload(node: NodeState, cfg: TrainingConfig, round_no: int) -> np.ndarray:
     if not _attack_active(node.attack, round_no):
         return node.local_weights.copy()
     if isinstance(node.attack, SignFlip):

@@ -217,7 +217,36 @@ class TestAttacksAndDefence:
             run_experiment(small_config(Scheme.SCEI))
 
 
+    def test_diverging_learning_rate_aborts(self):
+        """The 199,210-parameter shape at learning rate 0.5 overflows within
+        a few rounds; the run stops naming the round and the nodes instead of
+        going on at chance accuracy."""
+        raw = {
+            "synthetic_classes": "10",
+            "synthetic_per_class": "500",
+            "synthetic_input_dim": "784",
+            "nodes": "10",
+            "samples_per_node": "200",
+            "labels_per_node": "4",
+            "hidden": "200,200",
+            "rounds": "12",
+            "local_epochs": "1",
+            "learning_rate": "0.5",
+            "attacks": "1:noise:10.0:1, 2:noise:10.0:1",
+        }
+        with np.errstate(all="ignore"), pytest.raises(
+            ExperimentAbort, match=r"^round \d+: node\(s\) \d+(, \d+)* trained to non-finite weights$"
+        ):
+            run_experiment(build_config(raw, seed=1))
+
+
 class TestCsv:
+    def test_train_time_is_an_equal_share_per_round(self):
+        result = run_experiment(small_config(Scheme.SCEI, rounds=2))
+        for round_no in (1, 2):
+            shares = {m.train_s for m in result.metrics if m.round_no == round_no}
+            assert len(shares) == 1 and shares.pop() > 0
+
     def test_row_count_and_header(self, tmp_path):
         result = run_experiment(small_config(Scheme.SCEI, rounds=3))
         path = tmp_path / "metrics.csv"

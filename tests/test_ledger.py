@@ -151,11 +151,28 @@ class TestSerialization:
         assert loaded.records == book.records
         assert loaded.verify_chain() is None
 
+    def test_loaded_records_own_their_bytes(self):
+        blob = bytearray(build_ledger(5).to_bytes())
+        loaded = Ledger.from_bytes(blob)
+        blob[:] = bytes(len(blob))
+        assert loaded.verify_chain() is None
+        for rec in loaded.records:
+            assert all(type(f) is bytes for f in (rec.payload, rec.prev_hash, rec.hash))
+
     def test_dump_file_round_trip(self, tmp_path):
         book = build_ledger(9)
         path = tmp_path / "ledger.bin"
         book.write_dump(path)
         assert Ledger.read_dump(path).records == book.records
+
+    def test_dump_file_bytes_equal_to_bytes(self, tmp_path):
+        book = build_ledger(9, payload_size=1000)
+        path = tmp_path / "ledger.bin"
+        book.write_dump(path)
+        framed = b"".join(
+            struct.pack("<I", len(body)) + body for body in map(record_to_bytes, book.records)
+        )
+        assert path.read_bytes() == book.to_bytes() == framed
 
     def test_malformed_record_rejected(self):
         with pytest.raises(LedgerFormatError):

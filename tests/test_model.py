@@ -241,6 +241,77 @@ class TestSgdTrain:
             sgd_train(params, TINY, cfg, LabeledDataset(np.empty((0, 4)), np.empty(0, dtype=int)))
 
 
+def _node_datasets(arch, k, n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        LabeledDataset(rng.normal(size=(n, arch.input_dim)), rng.integers(0, arch.output_dim, size=n))
+        for _ in range(k)
+    ]
+
+
+WIDE = MlpArchitecture(784, (200, 200), 10)
+
+
+class TestStackedTraining:
+    """A (K, P) stack trains each node exactly as K separate 1-D calls do."""
+
+    @pytest.mark.parametrize(
+        "arch, k, n, batch, epochs",
+        [
+            (TINY, 1, 12, 5, 2),
+            (TINY, 2, 12, 5, 2),
+            (TINY, 5, 12, 5, 2),
+            (TINY, 5, 7, 1, 2),  # batch 1
+            (TINY, 2, 53, 10, 3),  # ragged last batch
+            (MlpArchitecture(20, (64, 64), 10), 5, 53, 10, 2),  # 6,154 parameters
+            (WIDE, 2, 23, 10, 1),  # 199,210 parameters
+            # width-1 layers: their matmuls take the vector paths, which are
+            # sensitive to the memory layout of a stacked batch
+            (MlpArchitecture(1, (1, 1), 2), 2, 48, 10, 2),
+            (MlpArchitecture(1, (1, 1), 2), 5, 53, 64, 2),
+            (MlpArchitecture(2, (1, 1), 2), 2, 48, 10, 2),
+            (MlpArchitecture(2, (1, 1), 2), 5, 48, 64, 2),
+            (MlpArchitecture(2, (1, 2), 2), 2, 53, 10, 2),
+            (MlpArchitecture(1, (2, 1), 2), 2, 53, 10, 2),
+            (MlpArchitecture(1, (2, 2), 2), 5, 53, 10, 2),
+        ],
+    )
+    def test_stack_equals_separate_calls(self, arch, k, n, batch, epochs):
+        datasets = _node_datasets(arch, k, n, seed=n * 100 + batch + k)
+        stack = np.stack([init_params(arch, 10 + i) for i in range(k)])
+        before = stack.copy()
+        cfg = TrainingConfig(batch_size=batch, local_epochs=epochs, learning_rate=0.1, rng_seed=5)
+        trained = sgd_train(stack, arch, cfg, datasets)
+        assert trained.shape == stack.shape
+        assert np.array_equal(stack, before)
+        for i in range(k):
+            assert np.array_equal(trained[i], sgd_train(stack[i], arch, cfg, datasets[i])), i
+
+    def test_stacked_loss_and_grad_rows_match_single_calls(self):
+        rng = np.random.default_rng(4)
+        stack = np.stack([init_params(TINY, i) for i in range(3)])
+        batch = rng.normal(size=(3, 6, 4))
+        labels = rng.integers(0, 2, size=(3, 6))
+        losses, grads = loss_and_grad(stack, TINY, batch, labels)
+        assert losses.shape == (3,) and grads.shape == (3, TINY.param_count)
+        for i in range(3):
+            loss, grad = loss_and_grad(stack[i], TINY, batch[i], labels[i])
+            assert losses[i] == loss
+            assert np.array_equal(grads[i], grad)
+
+    def test_stacked_shape_mismatches_rejected(self):
+        stack = np.stack([init_params(TINY, i) for i in range(2)])
+        with pytest.raises(ValueError):
+            loss_and_grad(stack, TINY, np.ones((3, 5, 4)), np.zeros((3, 5), dtype=int))
+        with pytest.raises(ValueError):
+            loss_and_grad(stack, TINY, np.ones((2, 5, 4)), np.zeros((2, 4), dtype=int))
+        cfg = TrainingConfig(batch_size=2, local_epochs=1, learning_rate=0.1)
+        with pytest.raises(ValueError):
+            sgd_train(stack, TINY, cfg, _node_datasets(TINY, 3, 6, seed=0))
+        with pytest.raises(ValueError):
+            sgd_train(stack, TINY, cfg, [_small_dataset(n=6), _small_dataset(n=7)])
+
+
 class TestEvaluate:
     def test_perfect_classifier_scores_one(self):
         # weights that copy the two input coordinates straight to the logits
