@@ -12,7 +12,7 @@ from .harness import (
     run_experiment,
     summarize,
 )
-from .ledger import verify_dump_bytes
+from .ledger import _frames, verify_dump_bytes
 
 
 @click.group()
@@ -66,23 +66,10 @@ def verify_ledger(dump):
         blob = f.read()
     bad = verify_dump_bytes(blob)
     if bad is None:
-        count = _count_frames(blob)
-        click.echo(f"ok: {count} records, chain intact")
+        click.echo(f"ok: {sum(1 for _ in _frames(blob))} records, chain intact")
     else:
         click.echo(f"TAMPERED: first bad record index {bad}")
         raise SystemExit(1)
-
-
-def _count_frames(blob: bytes) -> int:
-    import struct
-
-    count = 0
-    offset = 0
-    while offset + 4 <= len(blob):
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4 + length
-        count += 1
-    return count
 
 
 @main.command("summarize")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class NegotiationGrid:
     """Strictly increasing candidate mixing weights, all within [0, 1]."""
 
     alphas: tuple
-    step: float
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -51,8 +50,6 @@ class NegotiationGrid:
             raise ValueError(f"grid alphas must lie in [0, 1]: {alphas}")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError(f"grid alphas must be strictly increasing: {alphas}")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -86,12 +83,12 @@ class AccuracyMatrix:
         object.__setattr__(self, "values", values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefenceReport:
     """Outcome of one round of upload screening.
 
     quantile_lb / quantile_ub are the quantile LEVELS used this round; iqr is
-    the value spread between them. expelled is filled by update_suspicions.
+    the value spread between them.
     """
 
     diffs: dict
@@ -99,7 +96,6 @@ class DefenceReport:
     quantile_ub: float
     iqr: float
     flagged: frozenset
-    expelled: set = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -107,22 +103,17 @@ class ContractState:
     """The coordinator's view: participants, suspicion history, negotiated alphas."""
 
     round_no: int
-    total_rounds: int
     active_nodes: tuple
     suspicion_history: dict
     alpha_history: tuple
-    policy: Policy
-    initial_alpha: float = 0.5
 
     @classmethod
-    def fresh(cls, node_ids, total_rounds, policy=Policy.MAX_MEAN) -> "ContractState":
+    def fresh(cls, node_ids) -> "ContractState":
         return cls(
             round_no=0,
-            total_rounds=total_rounds,
             active_nodes=tuple(sorted(int(n) for n in node_ids)),
             suspicion_history={},
             alpha_history=(),
-            policy=policy,
         )
 
 
@@ -179,7 +170,7 @@ def build_grid(start: float, end: float, step: float) -> NegotiationGrid:
     alphas = [start + i * step for i in range(count + 1)]
     if abs(alphas[-1] - end) <= 1e-12:
         alphas[-1] = end
-    return NegotiationGrid(alphas=tuple(alphas), step=step)
+    return NegotiationGrid(alphas=tuple(alphas))
 
 
 def _column_mean(column) -> float:
@@ -276,7 +267,9 @@ def detect_anomalies(diffs, round_no: int, total_rounds: int, node_ids=None) -> 
     [Q_lb - 1.5*IQR, Q_ub + 1.5*IQR], where Q_lb/Q_ub are the interpolated
     quantiles at the dynamic levels and IQR is their spread. When the whole
     sample agrees (total spread at most 1e-8 of its scale, or 1e-12 absolute)
-    nobody is flagged, so unanimous rounds never produce spurious outliers.
+    nobody is flagged by the fences, so unanimous rounds never produce
+    spurious outliers. A non-finite distance is always flagged; quantiles,
+    fences and spread are taken over the finite distances only.
     """
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.size == 0:
@@ -288,55 +281,52 @@ def detect_anomalies(diffs, round_no: int, total_rounds: int, node_ids=None) -> 
         raise ValueError(f"{diffs.size} distances but {len(node_ids)} node ids")
 
     lower_level, upper_level = dynamic_bounds(round_no, total_rounds)
-    q_lower = interpolated_quantile(diffs, lower_level)
-    q_upper = interpolated_quantile(diffs, upper_level)
-    iqr = q_upper - q_lower
-
-    spread = float(diffs.max() - diffs.min())
-    if spread <= max(AGREEMENT_ABS_SPREAD, AGREEMENT_REL_SPREAD * float(diffs.max())):
-        flagged = frozenset()
-    else:
-        lower_fence = q_lower - FENCE_SCALE * iqr
-        upper_fence = q_upper + FENCE_SCALE * iqr
-        flagged = frozenset(
-            node
-            for node, d in zip(node_ids, diffs)
-            if d < lower_fence or d > upper_fence
-        )
+    finite = np.isfinite(diffs)
+    flagged = {node for node, ok in zip(node_ids, finite) if not ok}
+    sample = diffs[finite]
+    iqr = 0.0
+    if sample.size:
+        q_lower = interpolated_quantile(sample, lower_level)
+        q_upper = interpolated_quantile(sample, upper_level)
+        iqr = q_upper - q_lower
+        spread = float(sample.max() - sample.min())
+        if spread > max(AGREEMENT_ABS_SPREAD, AGREEMENT_REL_SPREAD * float(sample.max())):
+            lower_fence = q_lower - FENCE_SCALE * iqr
+            upper_fence = q_upper + FENCE_SCALE * iqr
+            flagged.update(
+                node for node, d in zip(node_ids, diffs) if d < lower_fence or d > upper_fence
+            )
     return DefenceReport(
         diffs={node: float(d) for node, d in zip(node_ids, diffs)},
         quantile_lb=lower_level,
         quantile_ub=upper_level,
         iqr=float(iqr),
-        flagged=flagged,
+        flagged=frozenset(flagged),
     )
 
 
-def update_suspicions(state: ContractState, report: DefenceReport, round_no: int) -> ContractState:
+def update_suspicions(state: ContractState, report: DefenceReport, round_no: int):
     """Record this round's flags and expel nodes flagged 5 rounds in a row.
 
-    Expelled nodes leave active_nodes and are added to report.expelled; any
-    clean round resets a node's streak because the membership test needs all
-    of rounds t-4..t present.
+    Returns the new state and the nodes expelled this round, ascending.
+    Expelled nodes leave active_nodes; any clean round resets a node's streak
+    because the membership test needs all of rounds t-4..t present.
     """
     history = {node: tuple(rounds) for node, rounds in state.suspicion_history.items()}
     for node in sorted(report.flagged):
         history[node] = history.get(node, ()) + (round_no,)
 
-    expelled = []
     streak = set(range(round_no - EXPULSION_STREAK + 1, round_no + 1))
-    for node in sorted(report.flagged):
-        if node in state.active_nodes and streak.issubset(history.get(node, ())):
-            expelled.append(node)
-
-    report.expelled.update(expelled)
+    expelled = tuple(
+        node for node in sorted(report.flagged) if node in state.active_nodes and streak <= set(history[node])
+    )
     active = tuple(n for n in state.active_nodes if n not in expelled)
-    return replace(state, active_nodes=active, suspicion_history=history)
+    return replace(state, active_nodes=active, suspicion_history=history), expelled
 
 
-def robust_aggregate(locals_by_node, report: DefenceReport) -> np.ndarray:
+def robust_aggregate(locals_by_node, flagged) -> np.ndarray:
     """fed_avg restricted to unflagged uploads, in ascending node-id order."""
-    good = [node for node in sorted(locals_by_node) if node not in report.flagged]
+    good = [node for node in sorted(locals_by_node) if node not in flagged]
     if not good:
         raise AggregationError("every node is flagged; nothing to aggregate")
     return fed_avg([locals_by_node[node] for node in good])

@@ -8,11 +8,13 @@ global model is read back before mixing, candidate reports are read back
 before negotiating. Two runs with the same config and seed therefore produce
 identical metrics (timing columns aside) and identical ledger hashes.
 
-Schemes
-  scei         defence + negotiated alpha each round
-  fedavg       plain averaging, alpha forced to 0, no defence, no negotiation
-  fixed_alpha  plain averaging, the configured alpha, no defence/negotiation
-  local        no aggregation; nodes never read global weights (alpha 1)
+Schemes are points of one protocol. The round loop reads the scheme once,
+into three values:
+  screened    uploads pass the defence before aggregation (scei only)
+  aggregated  a global model is formed (every scheme but local)
+  alpha       the fixed mixing weight: 0 for fedavg, 1 for local, the
+              configured value for fixed_alpha; None for scei, whose nodes
+              negotiate it every round
 """
 
 from __future__ import annotations
@@ -25,14 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import contract, ledger as ledger_mod, node as node_mod
-from .contract import (
-    AccuracyMatrix,
-    AggregationError,
-    ContractState,
-    NegotiationGrid,
-    Policy,
-    build_grid,
-)
+from .contract import AccuracyMatrix, AggregationError, ContractState, Policy, build_grid
 from .data import (
     LabeledDataset,
     PartitionSpec,
@@ -64,10 +59,10 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class SyntheticSource:
-    num_classes: int = 10
-    per_class: int = 1500
-    input_dim: int = 20
-    separation: float = 4.0
+    num_classes: int
+    per_class: int
+    input_dim: int
+    separation: float
 
 
 @dataclass(frozen=True)
@@ -164,19 +159,6 @@ def _build_nodes(cfg: ExperimentConfig, splits, init_weights) -> list:
     ]
 
 
-class _Stopwatch:
-    def __init__(self):
-        self.total = 0.0
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.total += time.perf_counter() - self._start
-        return False
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Build data and nodes, run the full round loop, optionally write outputs."""
     ds = _build_dataset(cfg)
@@ -189,9 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     book = Ledger()
     book.append(0, RecordKind.GLOBAL_WEIGHTS, None, ledger_mod.encode_params(init_weights))
-    state = ContractState.fresh(
-        [n.node_id for n in nodes], total_rounds=cfg.rounds, policy=cfg.policy
-    )
+    state = ContractState.fresh([n.node_id for n in nodes])
 
     metrics, state = _run_rounds(nodes, book, state, cfg)
 
@@ -204,111 +184,88 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig):
     """The protocol loop proper; nodes may be hand-built, which the tests use."""
+    screened = cfg.scheme is Scheme.SCEI
+    aggregated = cfg.scheme is not Scheme.LOCAL
+    # None: negotiated every round
+    fixed_alpha = {Scheme.FEDAVG: 0.0, Scheme.LOCAL: 1.0, Scheme.FIXED_ALPHA: cfg.fixed_alpha}.get(cfg.scheme)
     grid = build_grid(*cfg.grid)
     by_id = {n.node_id: n for n in nodes}
     metrics = []
 
     for round_no in range(1, cfg.rounds + 1):
         state = replace(state, round_no=round_no)
-        active_at_start = list(state.active_nodes)
-        ledger_s = {n: 0.0 for n in active_at_start}
-        negotiate_s = {n: 0.0 for n in active_at_start}
+        active = state.active_nodes
+        negotiate_s = dict.fromkeys(active, 0.0)
 
         # phase 1: local training of every active node, then uploads in
         # ascending node order; each node is charged an equal share of the
         # stacked training time
-        with _Stopwatch() as sw:
-            try:
-                trained = node_mod.local_round(
-                    [by_id[n] for n in active_at_start], cfg.arch, cfg.training, round_no
-                )
-            except node_mod.NonFiniteWeights as exc:
-                raise ExperimentAbort(f"round {round_no}: {exc}") from exc
-        train_s = dict.fromkeys(active_at_start, sw.total / len(active_at_start))
-        for node_id, upload in zip(active_at_start, trained):
-            with _Stopwatch() as sw:
-                book.append(
-                    round_no,
-                    RecordKind.LOCAL_WEIGHTS,
-                    node_id,
-                    ledger_mod.encode_params(upload),
-                )
-            ledger_s[node_id] += sw.total
-
+        start = time.perf_counter()
+        try:
+            trained = node_mod.local_round([by_id[n] for n in active], cfg.arch, cfg.training, round_no)
+        except node_mod.NonFiniteWeights as exc:
+            raise ExperimentAbort(f"round {round_no}: {exc}") from exc
+        train_s = (time.perf_counter() - start) / len(active)
+        ledger_s = {}
+        for node_id, upload in zip(active, trained):
+            start = time.perf_counter()
+            book.append(round_no, RecordKind.LOCAL_WEIGHTS, node_id, ledger_mod.encode_params(upload))
+            ledger_s[node_id] = time.perf_counter() - start
         uploads = {
             rec.node_id: ledger_mod.decode_params(rec.payload)
             for rec in book.query_round(round_no, RecordKind.LOCAL_WEIGHTS)
         }
 
-        # phase 2: defence (scei only)
-        if cfg.scheme is Scheme.SCEI:
+        # phase 2: screening. A non-finite upload stays out of the temporary
+        # global, so its own distance is non-finite and flags it
+        flagged, expelled = frozenset(), ()
+        if screened:
             ordered_ids = sorted(uploads)
-            temp_global = contract.fed_avg([uploads[n] for n in ordered_ids])
-            diffs = contract.model_diffs([uploads[n] for n in ordered_ids], temp_global)
-            report = contract.detect_anomalies(
-                diffs, round_no, cfg.rounds, node_ids=ordered_ids
-            )
-            state = contract.update_suspicions(state, report, round_no)
-            book.append(
-                round_no,
-                RecordKind.SUSPICION_SET,
-                None,
-                ledger_mod.encode_node_set(report.flagged),
-            )
-            for node_id in sorted(report.expelled):
+            vectors = [uploads[n] for n in ordered_ids]
+            finite = [v for v in vectors if np.isfinite(v).all()]
+            diffs = contract.model_diffs(vectors, contract.fed_avg(finite or vectors))
+            report = contract.detect_anomalies(diffs, round_no, cfg.rounds, node_ids=ordered_ids)
+            flagged = report.flagged
+            state, expelled = contract.update_suspicions(state, report, round_no)
+            book.append(round_no, RecordKind.SUSPICION_SET, None, ledger_mod.encode_node_set(flagged))
+            for node_id in expelled:
                 book.append(round_no, RecordKind.EXPULSION, node_id, b"")
+
+        # phase 3: aggregation of the unflagged uploads
+        global_weights = None
+        if aggregated:
             try:
-                global_weights = contract.robust_aggregate(uploads, report)
+                global_weights = contract.robust_aggregate(uploads, flagged)
             except AggregationError as exc:
                 raise ExperimentAbort(f"round {round_no}: {exc}") from exc
-        else:
-            report = None
-            if cfg.scheme is Scheme.LOCAL:
-                global_weights = None
-            else:
-                global_weights = contract.fed_avg(
-                    [uploads[n] for n in sorted(uploads)]
-                )
-
-        if global_weights is not None:
-            book.append(
-                round_no,
-                RecordKind.GLOBAL_WEIGHTS,
-                None,
-                ledger_mod.encode_params(global_weights),
-            )
+            book.append(round_no, RecordKind.GLOBAL_WEIGHTS, None, ledger_mod.encode_params(global_weights))
             global_weights = ledger_mod.decode_params(
                 book.query_round(round_no, RecordKind.GLOBAL_WEIGHTS)[0].payload
             )
 
-        # phases 3-4: candidate evaluation and negotiation (scei only)
-        flagged = report.flagged if report is not None else frozenset()
-        expelled_now = set(report.expelled) if report is not None else set()
-        if cfg.scheme is Scheme.SCEI:
-            negotiators = [n for n in state.active_nodes if n not in flagged]
-            for node_id in negotiators:
-                nd = by_id[node_id]
-                with _Stopwatch() as sw:
-                    cand = node_mod.evaluate_candidates(nd, cfg.arch, global_weights, grid)
-                negotiate_s[node_id] += sw.total
-                with _Stopwatch() as sw:
-                    book.append(
-                        round_no,
-                        RecordKind.ACCURACY_LIST,
-                        node_id,
-                        ledger_mod.encode_accuracy_list(cand.alphas, cand.accuracies),
-                    )
-                ledger_s[node_id] += sw.total
+        # phase 4: candidate evaluation and negotiation by the unflagged nodes
+        alpha, candidate_acc = fixed_alpha, {}
+        if alpha is None:
+            for node_id in state.active_nodes:
+                if node_id in flagged:
+                    continue
+                start = time.perf_counter()
+                cand = node_mod.evaluate_candidates(by_id[node_id], cfg.arch, global_weights, grid)
+                negotiate_s[node_id] = time.perf_counter() - start
+                start = time.perf_counter()
+                book.append(
+                    round_no,
+                    RecordKind.ACCURACY_LIST,
+                    node_id,
+                    ledger_mod.encode_accuracy_list(grid.alphas, cand.accuracies),
+                )
+                ledger_s[node_id] += time.perf_counter() - start
 
-            reports = book.query_round(round_no, RecordKind.ACCURACY_LIST)
             rows = sorted(
                 (rec.node_id, ledger_mod.decode_accuracy_list(rec.payload)[1])
-                for rec in reports
+                for rec in book.query_round(round_no, RecordKind.ACCURACY_LIST)
             )
-            matrix = AccuracyMatrix(
-                node_ids=tuple(r[0] for r in rows),
-                values=np.array([r[1] for r in rows]),
-            )
+            matrix = AccuracyMatrix(node_ids=[r[0] for r in rows], values=np.array([r[1] for r in rows]))
             alpha, grid_index = contract.negotiate_alpha(matrix, grid, cfg.policy)
             book.append(
                 round_no,
@@ -320,30 +277,19 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                 book.query_round(round_no, RecordKind.ALPHA_DECISION)[0].payload
             )[0]
             state = replace(state, alpha_history=state.alpha_history + (alpha,))
-            candidate_acc = {
-                node_id: accs[grid_index] for node_id, accs in rows
-            }
-        elif cfg.scheme is Scheme.FEDAVG:
-            alpha, candidate_acc = 0.0, {}
-        elif cfg.scheme is Scheme.FIXED_ALPHA:
-            alpha, candidate_acc = cfg.fixed_alpha, {}
-        else:
-            alpha, candidate_acc = 1.0, {}
+            candidate_acc = {node_id: accs[grid_index] for node_id, accs in rows}
 
-        # phase 5: personalization and metrics
-        for node_id in active_at_start:
+        # phase 5: personalization and metrics; a node expelled this round
+        # keeps its model, and with no global model formed a node's own
+        # weights stand in for it
+        for node_id in active:
             nd = by_id[node_id]
-            if node_id in expelled_now:
-                accuracy = evaluate(nd.personalized, cfg.arch, nd.split.test)
-            elif cfg.scheme is Scheme.LOCAL:
-                nd.personalized = nd.local_weights.copy()
-                accuracy = evaluate(nd.personalized, cfg.arch, nd.split.test)
+            if node_id not in expelled:
+                node_mod.apply_alpha(nd, nd.local_weights if global_weights is None else global_weights, alpha)
+            if node_id in candidate_acc:
+                accuracy = candidate_acc[node_id]
             else:
-                node_mod.apply_alpha(nd, global_weights, alpha)
-                if node_id in candidate_acc:
-                    accuracy = candidate_acc[node_id]
-                else:
-                    accuracy = evaluate(nd.personalized, cfg.arch, nd.split.test)
+                accuracy = evaluate(nd.personalized, cfg.arch, nd.split.test)
             metrics.append(
                 RoundMetrics(
                     round_no=round_no,
@@ -351,8 +297,8 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                     accuracy=accuracy,
                     alpha=float(alpha),
                     flagged=node_id in flagged,
-                    expelled=node_id in expelled_now,
-                    train_s=train_s[node_id],
+                    expelled=node_id in expelled,
+                    train_s=train_s,
                     negotiate_s=negotiate_s[node_id],
                     ledger_s=ledger_s[node_id],
                 )
@@ -428,51 +374,9 @@ def summarize(metrics, threshold: float | None = None) -> ExperimentSummary:
 
 # --- configuration ------------------------------------------------------------
 
-CONFIG_KEYS = {
-    "scheme": "scei | fedavg | local | fixed_alpha",
-    "fixed_alpha": "alpha in [0,1]; required when scheme = fixed_alpha",
-    "dataset": "synthetic | mnist",
-    "synthetic_classes": "class count for the synthetic generator (default 10)",
-    "synthetic_per_class": "examples per class (default 1500)",
-    "synthetic_input_dim": "feature dimension (default 20)",
-    "synthetic_separation": "class-center distance from origin (default 4.0)",
-    "mnist_images": "path to an IDX image file",
-    "mnist_labels": "path to an IDX label file",
-    "nodes": "number of training nodes (default 10)",
-    "samples_per_node": "base examples per node (default 600)",
-    "labels_per_node": "distinct labels per node (default 4)",
-    "skew_ratio": "fraction of out-of-distribution test data in [0, 0.25) (default 0)",
-    "hidden": "two comma-separated hidden-layer widths (default 200,200)",
-    "rounds": "federated rounds (default 50)",
-    "batch_size": "minibatch size (default 10)",
-    "local_epochs": "local epochs per round (default 5)",
-    "learning_rate": "SGD step size (default 0.01)",
-    "grid_start": "first candidate alpha (default 0.5)",
-    "grid_end": "last candidate alpha (default 0.8)",
-    "grid_step": "candidate spacing (default 0.05)",
-    "policy": "max_mean | min_variance (default max_mean)",
-    "attacks": "comma-separated node:kind[:sigma]:start, kind in {noise, signflip}",
-    "seed": "master seed (default 0)",
-    "out": "metrics CSV path (optional)",
-    "ledger_out": "ledger dump path (optional)",
-}
 
-
-def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
-    raw = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
-    return raw
+def _widths(text: str) -> tuple:
+    return tuple(int(h.strip()) for h in text.split(","))
 
 
 def parse_attacks(text: str) -> tuple:
@@ -500,35 +404,91 @@ def parse_attacks(text: str) -> tuple:
     return tuple(specs)
 
 
+# key -> (default as written in a config file, parse, help); a key with a
+# None default is absent unless given
+CONFIG_TABLE = {
+    "scheme": ("scei", lambda v: Scheme(v.lower()), "scei | fedavg | local | fixed_alpha"),
+    "fixed_alpha": (None, float, "alpha in [0,1]; required when scheme = fixed_alpha"),
+    "dataset": ("synthetic", str.lower, "synthetic | mnist"),
+    "synthetic_classes": ("10", int, "class count for the synthetic generator"),
+    "synthetic_per_class": ("1500", int, "examples per class"),
+    "synthetic_input_dim": ("20", int, "feature dimension"),
+    "synthetic_separation": ("4.0", float, "class-center distance from origin"),
+    "mnist_images": (None, str, "path to an IDX image file"),
+    "mnist_labels": (None, str, "path to an IDX label file"),
+    "nodes": ("10", int, "number of training nodes"),
+    "samples_per_node": ("600", int, "base examples per node"),
+    "labels_per_node": ("4", int, "distinct labels per node"),
+    "skew_ratio": ("0", float, "fraction of out-of-distribution test data in [0, 0.25)"),
+    "hidden": ("200,200", _widths, "two comma-separated hidden-layer widths"),
+    "rounds": ("50", int, "federated rounds"),
+    "batch_size": ("10", int, "minibatch size"),
+    "local_epochs": ("5", int, "local epochs per round"),
+    "learning_rate": ("0.01", float, "SGD step size"),
+    "grid_start": ("0.5", float, "first candidate alpha"),
+    "grid_end": ("0.8", float, "last candidate alpha"),
+    "grid_step": ("0.05", float, "candidate spacing"),
+    "policy": ("max_mean", lambda v: Policy(v.lower()), "max_mean | min_variance"),
+    "attacks": ("", parse_attacks, "comma-separated node:kind[:sigma]:start, kind in {noise, signflip}"),
+    "seed": ("0", int, "master seed"),
+    "out": (None, str, "metrics CSV path"),
+    "ledger_out": (None, str, "ledger dump path"),
+}
+
+CONFIG_KEYS = {key: help_text for key, (_, _, help_text) in CONFIG_TABLE.items()}
+
+
+def parse_config_file(path) -> dict:
+    """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
+    raw = {}
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            raw[key] = value
+    return raw
+
+
 def build_config(raw: dict, **overrides) -> ExperimentConfig:
     """Assemble an ExperimentConfig from flat string keys plus keyword overrides.
 
     Overrides (scheme, rounds, seed, out, ledger_out) mirror the CLI flags and
-    win over file values when not None.
+    win over file values when not None. A value that does not parse raises
+    ValueError naming its key.
     """
     merged = dict(raw)
     for key, value in overrides.items():
         if value is not None:
             merged[key] = str(value)
 
-    def get(key, default=None):
-        return merged.get(key, default)
+    def get(key):
+        default, parse, _ = CONFIG_TABLE[key]
+        text = merged.get(key, default)
+        if text is None:
+            return None
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
 
-    scheme = Scheme(get("scheme", "scei").lower())
-    seed = int(get("seed", "0"))
-
-    dataset_kind = get("dataset", "synthetic").lower()
+    seed = get("seed")
+    dataset_kind = get("dataset")
     if dataset_kind == "synthetic":
         dataset = SyntheticSource(
-            num_classes=int(get("synthetic_classes", "10")),
-            per_class=int(get("synthetic_per_class", "1500")),
-            input_dim=int(get("synthetic_input_dim", "20")),
-            separation=float(get("synthetic_separation", "4.0")),
+            num_classes=get("synthetic_classes"),
+            per_class=get("synthetic_per_class"),
+            input_dim=get("synthetic_input_dim"),
+            separation=get("synthetic_separation"),
         )
         input_dim, num_classes = dataset.input_dim, dataset.num_classes
     elif dataset_kind == "mnist":
-        images = get("mnist_images")
-        labels = get("mnist_labels")
+        images, labels = get("mnist_images"), get("mnist_labels")
         if not images or not labels:
             raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
         dataset = MnistSource(images_path=images, labels_path=labels)
@@ -536,39 +496,28 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
     else:
         raise ValueError(f"unknown dataset {dataset_kind!r}")
 
-    hidden = tuple(int(h.strip()) for h in get("hidden", "200,200").split(","))
-    arch = MlpArchitecture(input_dim=input_dim, hidden_dims=hidden, output_dim=num_classes)
-
-    partition = PartitionSpec(
-        num_nodes=int(get("nodes", "10")),
-        samples_per_node=int(get("samples_per_node", "600")),
-        labels_per_node=int(get("labels_per_node", "4")),
-        skew_ratio=float(get("skew_ratio", "0")),
-        rng_seed=seed,
-    )
-    training = TrainingConfig(
-        batch_size=int(get("batch_size", "10")),
-        local_epochs=int(get("local_epochs", "5")),
-        learning_rate=float(get("learning_rate", "0.01")),
-        rng_seed=seed,
-    )
-
-    fixed_alpha = get("fixed_alpha")
     return ExperimentConfig(
-        scheme=scheme,
+        scheme=get("scheme"),
         dataset=dataset,
-        partition=partition,
-        arch=arch,
-        training=training,
-        rounds=int(get("rounds", "50")),
-        grid=(
-            float(get("grid_start", "0.5")),
-            float(get("grid_end", "0.8")),
-            float(get("grid_step", "0.05")),
+        partition=PartitionSpec(
+            num_nodes=get("nodes"),
+            samples_per_node=get("samples_per_node"),
+            labels_per_node=get("labels_per_node"),
+            skew_ratio=get("skew_ratio"),
+            rng_seed=seed,
         ),
-        policy=Policy(get("policy", "max_mean").lower()),
-        attacks=parse_attacks(get("attacks", "")),
-        fixed_alpha=float(fixed_alpha) if fixed_alpha is not None else None,
+        arch=MlpArchitecture(input_dim=input_dim, hidden_dims=get("hidden"), output_dim=num_classes),
+        training=TrainingConfig(
+            batch_size=get("batch_size"),
+            local_epochs=get("local_epochs"),
+            learning_rate=get("learning_rate"),
+            rng_seed=seed,
+        ),
+        rounds=get("rounds"),
+        grid=(get("grid_start"), get("grid_end"), get("grid_step")),
+        policy=get("policy"),
+        attacks=get("attacks"),
+        fixed_alpha=get("fixed_alpha"),
         seed=seed,
         output_path=get("out"),
         ledger_path=get("ledger_out"),

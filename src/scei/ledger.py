@@ -138,6 +138,24 @@ def _parse_record(buf: memoryview, owned: bool) -> LedgerRecord:
     )
 
 
+def _frames(blob):
+    """Each `u32 length || record` frame of a dump, as a view into blob.
+
+    Raises LedgerFormatError at the first truncated frame.
+    """
+    view = memoryview(blob)
+    offset = 0
+    while offset < len(view):
+        if offset + 4 > len(view):
+            raise LedgerFormatError("truncated frame length")
+        (length,) = struct.unpack_from("<I", view, offset)
+        offset += 4
+        if offset + length > len(view):
+            raise LedgerFormatError("truncated record frame")
+        yield view[offset : offset + length]
+        offset += length
+
+
 def _first_bad_index(records) -> int | None:
     """First index whose record fails hash recomputation, linkage, or structure."""
     if not records:
@@ -209,18 +227,7 @@ class Ledger:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Ledger":
-        view = memoryview(blob)
-        records = []
-        offset = 0
-        while offset < len(blob):
-            if offset + 4 > len(blob):
-                raise LedgerFormatError("truncated frame length")
-            (length,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            if offset + length > len(blob):
-                raise LedgerFormatError("truncated record frame")
-            records.append(_parse_record(view[offset : offset + length], owned=True))
-            offset += length
+        records = [_parse_record(frame, owned=True) for frame in _frames(blob)]
         if not records:
             raise LedgerFormatError("empty dump")
         ledger = cls.__new__(cls)
@@ -245,23 +252,12 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     hash/linkage checks apply. Returns None when everything is intact.
     """
     # the records only live for this check, so they stay views into blob
-    view = memoryview(blob)
     records = []
-    offset = 0
-    index = 0
-    while offset < len(blob):
-        if offset + 4 > len(blob):
-            return index
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + length > len(blob):
-            return index
-        try:
-            records.append(_parse_record(view[offset : offset + length], owned=False))
-        except LedgerFormatError:
-            return index
-        offset += length
-        index += 1
+    try:
+        for frame in _frames(blob):
+            records.append(_parse_record(frame, owned=False))
+    except LedgerFormatError:
+        return len(records)
     return _first_bad_index(records)
 
 

@@ -61,10 +61,9 @@ class NodeState:
 
 @dataclass(frozen=True)
 class CandidateReport:
-    """One node's test accuracy for every candidate alpha on the grid."""
+    """One node's test accuracy for every candidate alpha on the grid, in grid order."""
 
     node_id: int
-    alphas: tuple
     accuracies: tuple
 
 
@@ -137,7 +136,7 @@ def evaluate_candidates(
         evaluate(mix(node.local_weights, global_weights, alpha), arch, node.split.test)
         for alpha in grid.alphas
     )
-    return CandidateReport(node_id=node.node_id, alphas=grid.alphas, accuracies=accuracies)
+    return CandidateReport(node_id=node.node_id, accuracies=accuracies)
 
 
 def apply_alpha(node: NodeState, global_weights: np.ndarray, alpha: float) -> NodeState:

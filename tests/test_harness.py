@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from scei.harness import (
 from scei.ledger import Ledger, RecordKind, decode_params, encode_params
 from scei.model import MlpArchitecture, TrainingConfig, init_params
 from scei.node import AdditiveNoise, NodeState, SignFlip
+
+SAMPLE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_scei.cfg")
 
 
 def small_config(scheme, seed=1, rounds=3, fixed_alpha=None, attacks=(), num_nodes=4, **kw):
@@ -144,7 +148,7 @@ class TestSymmetry:
         nodes = _identical_nodes(arch, weights)
         book = Ledger()
         book.append(0, RecordKind.GLOBAL_WEIGHTS, None, encode_params(weights))
-        state = ContractState.fresh([0, 1], total_rounds=2)
+        state = ContractState.fresh([0, 1])
         metrics, state = _run_rounds(nodes, book, state, cfg)
         # identical data and identical training make every accuracy column tie,
         # so negotiation must settle on the grid minimum
@@ -186,6 +190,21 @@ class TestAttacksAndDefence:
         result = run_experiment(cfg)
         reports = result.ledger.query_round(1, RecordKind.ACCURACY_LIST)
         assert sorted(r.node_id for r in reports) == [0, 2, 3, 4, 5, 6, 7]
+
+    def test_non_finite_upload_flagged_and_expelled(self):
+        """Noise of scale 1e308 overflows part of node 1's upload to inf. The
+        defence flags it every round and keeps it out of every global model,
+        so the honest nodes train on and node 1 is expelled at round 5."""
+        raw = dict(parse_config_file(SAMPLE_CONFIG), nodes="8", hidden="8,8", attacks="1:noise:1e308:1")
+        with np.errstate(all="ignore"):
+            result = run_experiment(build_config(raw, rounds=6, seed=1))
+        flagged = [(m.round_no, m.node_id) for m in result.metrics if m.flagged]
+        assert flagged == [(r, 1) for r in range(1, 6)]
+        assert [(m.round_no, m.node_id) for m in result.metrics if m.expelled] == [(5, 1)]
+        globals_ = [r for r in result.ledger.records if r.kind is RecordKind.GLOBAL_WEIGHTS]
+        assert len(globals_) == 7
+        assert all(np.isfinite(decode_params(r.payload)).all() for r in globals_)
+        assert {m.round_no for m in result.metrics} == set(range(1, 7))
 
     def test_fedavg_scheme_never_flags(self):
         cfg = small_config(
@@ -321,6 +340,14 @@ class TestSummarize:
 
 
 class TestConfigParsing:
+    def test_malformed_value_names_its_key(self):
+        with pytest.raises(ValueError, match=r"^config key 'rounds': invalid literal for int\(\)"):
+            build_config({"rounds": "ten"})
+        with pytest.raises(ValueError, match=r"^config key 'learning_rate': could not convert"):
+            build_config({"learning_rate": "fast"})
+        with pytest.raises(ValueError, match=r"^config key 'hidden': invalid literal for int\(\)"):
+            build_config({"hidden": "64,wide"})
+
     def test_parse_and_build(self, tmp_path):
         text = """
 # demo config
