@@ -226,7 +226,15 @@ def model_diffs(local_vectors, temp_global: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != temp_global.shape:
             raise ValueError(f"vector {i} has shape {v.shape}, expected {temp_global.shape}")
-        out[i] = np.linalg.norm(v - temp_global)
+        d = v - temp_global
+        # an overflowing sum of squares is handled below, so it warns of nothing
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(d)
+            if not np.isfinite(dist) and np.isfinite(d).all():
+                # recompute with the entries scaled by the largest of them
+                scale = np.abs(d).max()
+                dist = scale * np.linalg.norm(d / scale)
+        out[i] = dist
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,13 +41,14 @@ class MlpArchitecture:
     def layer_dims(self) -> tuple:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
 
-    @property
+    # computed on first use and kept: every training step unpacks parameters
+    @cached_property
     def layer_shapes(self) -> tuple:
         """(fan_in, fan_out) per layer, input to output."""
         dims = self.layer_dims
         return tuple(zip(dims[:-1], dims[1:]))
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return sum(i * o + o for i, o in self.layer_shapes)
 
@@ -113,15 +115,22 @@ def _as_batch(batch, arch: MlpArchitecture) -> np.ndarray:
     return x
 
 
-def _forward_cached(params, arch, x):
-    (w1, b1), (w2, b2), (w3, b3) = unpack_params(params, arch)
+def _forward_layers(layers, x):
+    (w1, b1), (w2, b2), (w3, b3) = layers
     # biases get a row axis so they broadcast over a stack's batches too
-    z1 = x @ w1 + b1[..., None, :]
+    z1 = x @ w1
+    z1 += b1[..., None, :]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2 + b2[..., None, :]
+    z2 = a1 @ w2
+    z2 += b2[..., None, :]
     a2 = np.maximum(z2, 0.0)
-    logits = a2 @ w3 + b3[..., None, :]
+    logits = a2 @ w3
+    logits += b3[..., None, :]
     return z1, a1, z2, a2, logits
+
+
+def _forward_cached(params, arch, x):
+    return _forward_layers(unpack_params(params, arch), x)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -137,7 +146,7 @@ def forward(params: np.ndarray, arch: MlpArchitecture, batch) -> np.ndarray:
     return _softmax(logits)
 
 
-def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels):
+def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels, out=None):
     """Mean softmax cross-entropy over the batch and its analytic gradient.
 
     The loss uses the fused log-sum-exp form, so huge logits saturate instead of
@@ -146,6 +155,11 @@ def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels):
     With a leading node axis (params (K, P), batch (K, B, d), labels (K, B))
     it does the same for K nodes at once and returns a (K,) loss array and a
     (K, P) gradient; each node's row equals what a 1-D call on that node gives.
+
+    `out`, as in numpy's own functions, is an optional float64 array of the
+    shape of `params`, not overlapping it, that receives the gradient and is
+    returned as it; every element is overwritten. Without it the gradient goes
+    to a new array. `sgd_train` passes one buffer for all its steps.
     """
     params = np.asarray(params, dtype=np.float64)
     if params.ndim == 2:
@@ -168,39 +182,49 @@ def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels):
         raise ValueError("empty batch")
     if y.size and (y.min() < 0 or y.max() >= arch.output_dim):
         raise ValueError(f"labels must lie in [0, {arch.output_dim})")
+    layers = unpack_params(params, arch)
+    if out is None:
+        out = np.empty(params.shape)
+    elif not isinstance(out, np.ndarray) or out.shape != params.shape or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of the parameters' shape {params.shape}, got "
+            f"{getattr(out, 'dtype', type(out).__name__)} of shape {np.shape(out)}"
+        )
+    elif np.may_share_memory(out, params):
+        raise ValueError("out must not overlap the parameters")
 
-    (w1, _), (w2, _), (w3, _) = unpack_params(params, arch)
-    z1, a1, z2, a2, logits = _forward_cached(params, arch, x)
+    (w1, _), (w2, _), (w3, _) = layers
+    z1, a1, z2, a2, logits = _forward_layers(layers, x)
     c = arch.output_dim
     rows = np.arange(y.size)
     picked = y.reshape(-1)
 
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1))
-    losses = np.mean(log_norm - shifted.reshape(-1, c)[rows, picked].reshape(y.shape), axis=-1)
+    # one exp serves the loss and the softmax
+    shifted = logits  # the forward pass's own array, shifted in place
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1)
+    losses = np.mean(np.log(total) - shifted.reshape(-1, c)[rows, picked].reshape(y.shape), axis=-1)
     loss = losses if params.ndim == 2 else float(losses)
 
-    dlogits = _softmax(logits)
+    dlogits = exp
+    dlogits /= total[..., None]
     dlogits.reshape(-1, c)[rows, picked] -= 1.0
     dlogits /= n
 
-    dw3 = a2.mT @ dlogits
-    db3 = dlogits.sum(axis=-2)
-    da2 = dlogits @ w3.mT
-    dz2 = da2 * (z2 > 0)
-    dw2 = a1.mT @ dz2
-    db2 = dz2.sum(axis=-2)
-    da1 = dz2 @ w2.mT
-    dz1 = da1 * (z1 > 0)
-    dw1 = x.mT @ dz1
-    db1 = dz1.sum(axis=-2)
-
-    lead = params.shape[:-1]
-    grad = np.concatenate(
-        [dw1.reshape(*lead, -1), db1, dw2.reshape(*lead, -1), db2, dw3.reshape(*lead, -1), db3],
-        axis=-1,
-    )
-    return loss, grad
+    # each piece goes straight to its place in the flat layout
+    (gw1, gb1), (gw2, gb2), (gw3, gb3) = unpack_params(out, arch)
+    np.matmul(a2.mT, dlogits, out=gw3)
+    dlogits.sum(axis=-2, out=gb3)
+    dz2 = dlogits @ w3.mT
+    dz2 *= z2 > 0
+    np.matmul(a1.mT, dz2, out=gw2)
+    dz2.sum(axis=-2, out=gb2)
+    dz1 = dz2 @ w2.mT
+    dz1 *= z1 > 0
+    np.matmul(x.mT, dz1, out=gw1)
+    dz1.sum(axis=-2, out=gb1)
+    return loss, out
 
 
 def sgd_train(
@@ -218,11 +242,11 @@ def sgd_train(
 
     Does not mutate the input; bit-reproducible for a fixed cfg.rng_seed.
     """
-    out = np.array(params, dtype=np.float64, copy=True)
-    if out.ndim == 2:
+    trained = np.array(params, dtype=np.float64, copy=True)
+    if trained.ndim == 2:
         datasets = list(dataset)
-        if len(datasets) != out.shape[0]:
-            raise ValueError(f"{out.shape[0]} parameter rows but {len(datasets)} datasets")
+        if len(datasets) != trained.shape[0]:
+            raise ValueError(f"{trained.shape[0]} parameter rows but {len(datasets)} datasets")
         if len({len(ds) for ds in datasets}) != 1:
             raise ValueError("stacked training needs datasets of equal length")
         features = np.stack([ds.features for ds in datasets])
@@ -233,6 +257,7 @@ def sgd_train(
     if n == 0:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(cfg.rng_seed)
+    grad = np.empty_like(trained)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         # np.take gives every node's rows in one C-contiguous block; a stack
@@ -242,10 +267,10 @@ def sgd_train(
         y_epoch = np.take(labels, order, axis=-1)
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            _, grad = loss_and_grad(out, arch, x_epoch[..., start:stop, :], y_epoch[..., start:stop])
+            loss_and_grad(trained, arch, x_epoch[..., start:stop, :], y_epoch[..., start:stop], out=grad)
             grad *= cfg.learning_rate
-            out -= grad
-    return out
+            trained -= grad
+    return trained
 
 
 def evaluate(params: np.ndarray, arch: MlpArchitecture, test_set: LabeledDataset) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,20 @@ class TestModelDiffs:
         for d, v in zip(diffs, vectors):
             expected = math.sqrt(math.fsum((x - g) ** 2 for x, g in zip(v, global_)))
             assert abs(d - expected) <= 1e-12 * max(expected, 1.0)
+
+
+    def test_overflowing_sum_of_squares_is_rescaled(self):
+        """Entries of 1e200 overflow the sum of squares; the distance is still
+        the finite one, with no warning, and a distance that fits is untouched."""
+        global_ = np.zeros(3)
+        huge = np.array([1e200, -1e200, 1e200])
+        small = np.array([3.0, 4.0, 12.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            diffs = model_diffs([huge, small, np.array([np.inf, 0.0, 0.0])], global_)
+        assert math.isclose(diffs[0], math.sqrt(3) * 1e200, rel_tol=1e-15)
+        assert diffs[1] == np.linalg.norm(small) == 13.0
+        assert diffs[2] == np.inf
 
 
 class TestDynamicBounds:

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,20 @@ class TestAttacksAndDefence:
         assert len(globals_) == 7
         assert all(np.isfinite(decode_params(r.payload)).all() for r in globals_)
         assert {m.round_no for m in result.metrics} == set(range(1, 7))
+
+    @pytest.mark.parametrize("sigma", ["1e160", "1e300"])
+    def test_overflowing_distances_blame_only_the_attacker(self, sigma):
+        """A finite upload this large overflows the plain sum of squares of
+        every node's distance from the temporary global. Recomputed with a
+        scaled norm, the distances stay finite, so only node 1 is flagged,
+        in rounds 1-5, and it is expelled at round 5."""
+        raw = dict(parse_config_file(SAMPLE_CONFIG), nodes="8", hidden="8,8", attacks=f"1:noise:{sigma}:1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_experiment(build_config(raw, rounds=6, seed=1))
+        flagged = [(m.round_no, m.node_id) for m in result.metrics if m.flagged]
+        assert flagged == [(r, 1) for r in range(1, 6)]
+        assert [(m.round_no, m.node_id) for m in result.metrics if m.expelled] == [(5, 1)]
 
     def test_fedavg_scheme_never_flags(self):
         cfg = small_config(

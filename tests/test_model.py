@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,57 @@ class TestStackedTraining:
             sgd_train(stack, TINY, cfg, _node_datasets(TINY, 3, 6, seed=0))
         with pytest.raises(ValueError):
             sgd_train(stack, TINY, cfg, [_small_dataset(n=6), _small_dataset(n=7)])
+
+
+WIDTH_ONE = [
+    MlpArchitecture(1, (1, 1), 2),
+    MlpArchitecture(2, (1, 1), 2),
+    MlpArchitecture(2, (1, 2), 2),
+    MlpArchitecture(1, (2, 1), 2),
+    MlpArchitecture(1, (2, 2), 2),
+]
+
+
+class TestGradientBuffer:
+    """loss_and_grad(..., out=buf) writes the gradient into buf."""
+
+    @pytest.mark.parametrize("arch", [TINY, MlpArchitecture(20, (64, 64), 10), *WIDTH_ONE])
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    @pytest.mark.parametrize("batch", [1, 10, 64])
+    def test_buffer_equals_allocating_call(self, arch, k, batch):
+        rng = np.random.default_rng(batch * 10 + (k or 0))
+        lead = () if k is None else (k,)
+        params = rng.normal(size=(*lead, arch.param_count))
+        x = rng.normal(size=(*lead, batch, arch.input_dim))
+        y = rng.integers(0, arch.output_dim, size=(*lead, batch))
+        loss, grad = loss_and_grad(params, arch, x, y)
+        buf = np.full_like(params, np.nan)
+        loss_buf, returned = loss_and_grad(params, arch, x, y, out=buf)
+        assert returned is buf
+        assert np.array_equal(returned, grad)
+        assert np.array_equal(loss_buf, loss)
+
+    def test_reused_buffer_keeps_no_stale_value(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([init_params(TINY, i) for i in range(3)])
+        buf = np.full_like(stack, np.nan)
+        for step in range(3):
+            x = rng.normal(size=(3, 4, 4))
+            y = rng.integers(0, 2, size=(3, 4))
+            loss_and_grad(stack, TINY, x, y, out=buf)
+            assert np.array_equal(buf, loss_and_grad(stack, TINY, x, y)[1]), step
+            buf[...] = np.inf if step % 2 else np.nan
+
+    def test_mismatched_buffer_rejected(self):
+        stack = np.stack([init_params(TINY, i) for i in range(2)])
+        x, y = np.ones((2, 3, 4)), np.zeros((2, 3), dtype=int)
+        for bad in (np.empty((3, TINY.param_count)), np.empty(TINY.param_count)):
+            with pytest.raises(ValueError, match=r"\(2, 35\).*" + re.escape(str(bad.shape))):
+                loss_and_grad(stack, TINY, x, y, out=bad)
+        with pytest.raises(ValueError, match=r"\(2, 35\).*float32 of shape \(2, 35\)"):
+            loss_and_grad(stack, TINY, x, y, out=np.empty((2, 35), dtype=np.float32))
+        with pytest.raises(ValueError, match="overlap"):
+            loss_and_grad(stack, TINY, x, y, out=stack)
 
 
 class TestEvaluate:
