@@ -12,7 +12,7 @@ from .harness import (
     run_experiment,
     summarize,
 )
-from .ledger import _frames, verify_dump_bytes
+from .ledger import _blob_reader, _walk, verify_dump_bytes
 
 
 @click.group()
@@ -66,7 +66,7 @@ def verify_ledger(dump):
         blob = f.read()
     bad = verify_dump_bytes(blob)
     if bad is None:
-        click.echo(f"ok: {sum(1 for _ in _frames(blob))} records, chain intact")
+        click.echo(f"ok: {sum(1 for _ in _walk(*_blob_reader(blob, owned=False)))} records, chain intact")
     else:
         click.echo(f"TAMPERED: first bad record index {bad}")
         raise SystemExit(1)

@@ -121,7 +121,9 @@ def fed_avg(local_vectors) -> np.ndarray:
     """Elementwise unweighted mean, accumulated sequentially in list order.
 
     The sum is anchored at the first vector (mean = first + mean of residuals),
-    so averaging K identical vectors returns that vector bit-exactly.
+    so averaging K identical vectors returns that vector bit-exactly. Finite
+    inputs near the float64 limit can overflow the residuals; those entries
+    are recomputed as the sum of v / K, which stays finite.
     """
     vectors = [np.asarray(v, dtype=np.float64) for v in local_vectors]
     if not vectors:
@@ -131,9 +133,18 @@ def fed_avg(local_vectors) -> np.ndarray:
         raise ValueError("all vectors must have the same length")
     anchor = vectors[0]
     residual = np.zeros_like(anchor)
-    for v in vectors:
-        residual += v - anchor
-    return anchor + residual / len(vectors)
+    # an overflowing residual of finite inputs is handled below, so it warns of nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in vectors:
+            residual += v - anchor
+        mean = anchor + residual / len(vectors)
+    overflowed = ~np.isfinite(mean)
+    if overflowed.any() and all(np.isfinite(v).all() for v in vectors):
+        rescued = np.zeros(np.count_nonzero(overflowed))
+        for v in vectors:
+            rescued += v[overflowed] / len(vectors)
+        mean[overflowed] = rescued
+    return mean
 
 
 def mix(local: np.ndarray, global_: np.ndarray, alpha: float) -> np.ndarray:

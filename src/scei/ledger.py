@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -101,17 +102,20 @@ def record_to_bytes(record: LedgerRecord) -> bytes:
 
 def record_from_bytes(buf: bytes) -> LedgerRecord:
     """Parse one record; its payload and hashes are bytes copied out of buf."""
-    return _parse_record(memoryview(buf), owned=True)
+    return _parse_record(*_blob_reader(buf, owned=True))
 
 
-def _parse_record(buf: memoryview, owned: bool) -> LedgerRecord:
-    """Parse one record; unless owned, its payload and hashes are views into buf."""
-    if len(buf) < _FIXED_OVERHEAD:
-        raise LedgerFormatError(f"record too short ({len(buf)} bytes)")
-    index, round_no, kind_code, flag, node_id, paylen = _HEADER.unpack_from(buf, 0)
-    if paylen != len(buf) - _FIXED_OVERHEAD:
+def _parse_record(read, length: int) -> LedgerRecord:
+    """Parse the `length`-byte record that read(n) hands over field by field.
+
+    read(n) must return the next n bytes; the record keeps what it returns.
+    """
+    if length < _FIXED_OVERHEAD:
+        raise LedgerFormatError(f"record too short ({length} bytes)")
+    index, round_no, kind_code, flag, node_id, paylen = _HEADER.unpack(read(_HEADER.size))
+    if paylen != length - _FIXED_OVERHEAD:
         raise LedgerFormatError(
-            f"payload length field {paylen} does not match record size {len(buf)}"
+            f"payload length field {paylen} does not match record size {length}"
         )
     try:
         kind = RecordKind(kind_code)
@@ -122,11 +126,9 @@ def _parse_record(buf: memoryview, owned: bool) -> LedgerRecord:
     if flag == 0 and node_id != 0:
         # only canonical encodings round-trip, so every byte stays hash-covered
         raise LedgerFormatError("node id bytes must be zero when the flag is unset")
-    payload = buf[_HEADER.size : _HEADER.size + paylen]
-    prev_hash = buf[_HEADER.size + paylen : _HEADER.size + paylen + HASH_LEN]
-    stored_hash = buf[_HEADER.size + paylen + HASH_LEN :]
-    if owned:
-        payload, prev_hash, stored_hash = bytes(payload), bytes(prev_hash), bytes(stored_hash)
+    payload = read(paylen)
+    prev_hash = read(HASH_LEN)
+    stored_hash = read(HASH_LEN)
     return LedgerRecord(
         index=index,
         round_no=round_no,
@@ -138,22 +140,50 @@ def _parse_record(buf: memoryview, owned: bool) -> LedgerRecord:
     )
 
 
-def _frames(blob):
-    """Each `u32 length || record` frame of a dump, as a view into blob.
+def _walk(read, size: int):
+    """Each record of a `size`-byte dump whose bytes read(n) hands over in order.
 
-    Raises LedgerFormatError at the first truncated frame.
+    This is the one frame walker: blobs and files both go through it.
+    Raises LedgerFormatError at the first truncated or malformed frame.
     """
+    offset = 0
+    while offset < size:
+        if offset + 4 > size:
+            raise LedgerFormatError("truncated frame length")
+        (length,) = struct.unpack("<I", read(4))
+        offset += 4
+        if offset + length > size:
+            raise LedgerFormatError("truncated record frame")
+        offset += length
+        yield _parse_record(read, length)
+
+
+def _blob_reader(blob, owned: bool):
+    """(read, size) over a bytes-like blob; read(n) returns copies of its pieces,
+    or views into it unless owned."""
     view = memoryview(blob)
     offset = 0
-    while offset < len(view):
-        if offset + 4 > len(view):
-            raise LedgerFormatError("truncated frame length")
-        (length,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        if offset + length > len(view):
+
+    def read(n):
+        nonlocal offset
+        piece = view[offset : offset + n]
+        offset += n
+        return bytes(piece) if owned else piece
+
+    return read, len(view)
+
+
+def _file_reader(f):
+    """(read, size) over an open binary file; read(n) returns the bytes it reads,
+    and a file that ends early is a truncated frame."""
+
+    def read(n):
+        piece = f.read(n)
+        if len(piece) != n:
             raise LedgerFormatError("truncated record frame")
-        yield view[offset : offset + length]
-        offset += length
+        return piece
+
+    return read, os.fstat(f.fileno()).st_size
 
 
 def _first_bad_index(records) -> int | None:
@@ -226,13 +256,19 @@ class Ledger:
         return b"".join(self._frame_parts())
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "Ledger":
-        records = [_parse_record(frame, owned=True) for frame in _frames(blob)]
+    def _loaded(cls, records) -> "Ledger":
+        """A ledger of the walked records, unverified."""
+        records = list(records)
         if not records:
             raise LedgerFormatError("empty dump")
         ledger = cls.__new__(cls)
         ledger.records = records
         return ledger
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "Ledger":
+        """Load a dump from a buffer; every field is bytes copied out of blob."""
+        return cls._loaded(_walk(*_blob_reader(blob, owned=True)))
 
     def write_dump(self, path) -> None:
         """Write the dump piece by piece; the file equals to_bytes() without a copy in memory."""
@@ -241,8 +277,12 @@ class Ledger:
 
     @classmethod
     def read_dump(cls, path) -> "Ledger":
+        """Load a dump file, reading each field straight into the record that keeps it.
+
+        The file is never held whole, so loading takes one copy of the dump.
+        """
         with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
+            return cls._loaded(_walk(*_file_reader(f)))
 
 
 def verify_dump_bytes(blob: bytes) -> int | None:
@@ -254,8 +294,8 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     # the records only live for this check, so they stay views into blob
     records = []
     try:
-        for frame in _frames(blob):
-            records.append(_parse_record(frame, owned=False))
+        for record in _walk(*_blob_reader(blob, owned=False)):
+            records.append(record)
     except LedgerFormatError:
         return len(records)
     return _first_bad_index(records)
@@ -268,10 +308,11 @@ def verify_dump_bytes(blob: bytes) -> int | None:
 
 
 def encode_params(values: np.ndarray) -> bytes:
-    vec = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    """The u64 count, then the values as little-endian f64; the values are copied once."""
+    vec = np.ascontiguousarray(values, dtype="<f8")
     if vec.ndim != 1:
         raise ValueError("parameter payloads must be 1-D")
-    return struct.pack("<Q", vec.size) + vec.astype("<f8").tobytes()
+    return b"".join((struct.pack("<Q", vec.size), memoryview(vec).cast("B")))
 
 
 def decode_params(payload: bytes) -> np.ndarray:

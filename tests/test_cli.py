@@ -83,6 +83,29 @@ class TestVerifyLedgerCommand:
         assert "index 2" in bad.output
 
 
+    def test_truncated_and_empty_dumps_are_tampered(self, tmp_path):
+        cfg = write_config(tmp_path)
+        dump = tmp_path / "ledger.bin"
+        runner = CliRunner()
+        assert runner.invoke(
+            main, ["run", "--config", str(cfg), "--ledger-out", str(dump)]
+        ).exit_code == 0
+        blob = dump.read_bytes()
+        # cut five bytes into the fourth frame: three whole records remain
+        offset = 0
+        for _ in range(3):
+            (length,) = struct.unpack_from("<I", blob, offset)
+            offset += 4 + length
+        dump.write_bytes(blob[: offset + 5])
+        cut = runner.invoke(main, ["verify-ledger", str(dump)])
+        assert cut.exit_code == 1
+        assert cut.output == "TAMPERED: first bad record index 3\n"
+        dump.write_bytes(b"")
+        empty = runner.invoke(main, ["verify-ledger", str(dump)])
+        assert empty.exit_code == 1
+        assert empty.output == "TAMPERED: first bad record index 0\n"
+
+
 class TestSummarizeCommand:
     def test_summarize_with_threshold(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -122,6 +122,41 @@ class TestFedAvg:
         v = np.array(values)
         assert np.array_equal(fed_avg([v.copy() for _ in range(5)]), v)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("placement", [[0], [3], [3, 5], [0, 6]])
+    def test_uploads_at_the_float64_limit_blame_only_themselves(self, placement, sign):
+        """Uploads of +-1e308 overflow the anchored residual sum; the global
+        stays finite and the screen flags exactly those uploads."""
+        rng = np.random.default_rng(17)
+        vectors = [rng.normal(size=50) for _ in range(8)]
+        for node in placement:
+            vectors[node] = np.full(50, sign * 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            global_ = fed_avg(vectors)
+            report = detect_anomalies(model_diffs(vectors, global_), 1, 12)
+        assert np.isfinite(global_).all()
+        assert report.flagged == frozenset(placement)
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, -0.0, 5e-324, -5e-324]),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_vectors_give_a_finite_average(self, rows):
+        out = fed_avg([np.array(row) for row in rows])
+        assert np.isfinite(out).all()
+
 
 class TestMix:
     L = np.array([2.0, 0.0, -1.5])

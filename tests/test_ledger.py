@@ -1,5 +1,8 @@
 import hashlib
+import os
 import struct
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,7 +166,10 @@ class TestSerialization:
         book = build_ledger(9)
         path = tmp_path / "ledger.bin"
         book.write_dump(path)
-        assert Ledger.read_dump(path).records == book.records
+        loaded = Ledger.read_dump(path)
+        assert loaded.records == book.records
+        for rec in loaded.records:
+            assert all(type(f) is bytes for f in (rec.payload, rec.prev_hash, rec.hash))
 
     def test_dump_file_bytes_equal_to_bytes(self, tmp_path):
         book = build_ledger(9, payload_size=1000)
@@ -173,6 +179,29 @@ class TestSerialization:
             struct.pack("<I", len(body)) + body for body in map(record_to_bytes, book.records)
         )
         assert path.read_bytes() == book.to_bytes() == framed
+
+    def test_empty_dump_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(LedgerFormatError, match="empty dump"):
+            Ledger.read_dump(path)
+        with pytest.raises(LedgerFormatError, match="empty dump"):
+            Ledger.from_bytes(b"")
+
+    def test_read_dump_holds_one_copy(self, tmp_path):
+        """Loading a file allocates at most the dump's size plus a little:
+        reading the whole file and copying the payloads out would take twice."""
+        path = tmp_path / "ledger.bin"
+        build_ledger(20, payload_size=200_000).write_dump(path)
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            loaded = Ledger.read_dump(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 21
+        assert peak <= size + size // 16, f"peak {peak} bytes for a {size}-byte dump"
 
     def test_malformed_record_rejected(self):
         with pytest.raises(LedgerFormatError):
@@ -218,6 +247,66 @@ class TestTamperDetection:
         assert verify_dump_bytes(blob[:-5]) is not None
 
 
+def _framed(blob):
+    """Start offsets of each frame's u32 length prefix."""
+    offsets = []
+    pos = 0
+    while pos < len(blob):
+        offsets.append(pos)
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+    return offsets
+
+
+_AGREEMENT_BLOB = build_ledger(8, payload_size=40).to_bytes()
+
+
+def _edited(kind, a, b):
+    blob = bytearray(_AGREEMENT_BLOB)
+    if kind == "edit":
+        blob[a % len(blob)] ^= 1 + b % 255
+    elif kind == "truncate":
+        del blob[a % len(blob) :]
+    else:
+        offsets = _framed(_AGREEMENT_BLOB)
+        at = offsets[a % len(offsets)]
+        blob[at : at + 4] = struct.pack("<I", b)
+    return bytes(blob)
+
+
+def _load(loader):
+    try:
+        return loader()
+    except LedgerFormatError:
+        return None
+
+
+class TestLoaderAgreement:
+    @given(
+        st.sampled_from(["edit", "truncate", "length"]),
+        st.integers(0, 2**20),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_file_and_buffer_loaders_agree(self, kind, a, b):
+        """read_dump(file) and from_bytes(bytes) load equal records or both
+        refuse the dump, and verify_dump_bytes reports what the load shows."""
+        blob = _edited(kind, a, b)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ledger.bin")
+            with open(path, "wb") as f:
+                f.write(blob)
+            from_file = _load(lambda: Ledger.read_dump(path))
+        from_buffer = _load(lambda: Ledger.from_bytes(blob))
+        bad = verify_dump_bytes(blob)
+        if from_buffer is None:
+            assert from_file is None
+            assert bad is not None
+        else:
+            assert from_file is not None
+            assert from_file.records == from_buffer.records
+            assert bad == from_buffer.verify_chain()
+
+
 class TestPayloadCodecs:
     def test_params_round_trip(self):
         vec = np.random.default_rng(0).normal(size=257)
@@ -240,6 +329,26 @@ class TestPayloadCodecs:
     def test_node_set_round_trip_sorted(self):
         assert decode_node_set(encode_node_set({5, 1, 9})) == (1, 5, 9)
         assert decode_node_set(encode_node_set([])) == ()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.arange(20.0)[::3],
+            np.arange(7.0).astype(">f8"),
+            np.linspace(-1, 1, 9, dtype=np.float32),
+            np.empty(0),
+            np.random.default_rng(1).normal(size=199_210),
+        ],
+        ids=["strided", "big-endian", "float32", "empty", "199210"],
+    )
+    def test_params_encoding_equals_the_three_copy_expression(self, values):
+        vec = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+        expected = struct.pack("<Q", vec.size) + vec.astype("<f8").tobytes()
+        assert encode_params(values) == expected
+
+    def test_params_must_be_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            encode_params(np.ones((2, 3)))
 
     def test_params_length_mismatch_rejected(self):
         blob = encode_params(np.ones(4))
