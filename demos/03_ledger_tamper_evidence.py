@@ -8,7 +8,7 @@ the damage.
 import numpy as np
 
 from scei import Ledger, RecordKind, verify_dump_bytes
-from scei.ledger import encode_node_set, encode_params, record_to_bytes
+from scei.ledger import encode_node_set, encode_params
 
 rng = np.random.default_rng(0)
 book = Ledger()

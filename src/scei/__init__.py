@@ -23,6 +23,7 @@ from .contract import (
     model_diffs,
     negotiate_alpha,
     robust_aggregate,
+    screen,
     update_suspicions,
 )
 from .data import (

@@ -102,7 +102,6 @@ class DefenceReport:
 class ContractState:
     """The coordinator's view: participants, suspicion history, negotiated alphas."""
 
-    round_no: int
     active_nodes: tuple
     suspicion_history: dict
     alpha_history: tuple
@@ -110,7 +109,6 @@ class ContractState:
     @classmethod
     def fresh(cls, node_ids) -> "ContractState":
         return cls(
-            round_no=0,
             active_nodes=tuple(sorted(int(n) for n in node_ids)),
             suspicion_history={},
             alpha_history=(),
@@ -341,6 +339,22 @@ def update_suspicions(state: ContractState, report: DefenceReport, round_no: int
     )
     active = tuple(n for n in state.active_nodes if n not in expelled)
     return replace(state, active_nodes=active, suspicion_history=history), expelled
+
+
+def screen(uploads, state: ContractState, round_no: int, total_rounds: int):
+    """One round of upload screening: distances, fences and the suspicion update.
+
+    uploads maps node id to its vector. A non-finite upload stays out of the
+    temporary global, so its own distance is non-finite and flags it. Returns
+    the DefenceReport, the new state and the nodes expelled this round.
+    """
+    node_ids = sorted(uploads)
+    vectors = [uploads[n] for n in node_ids]
+    finite = [v for v in vectors if np.isfinite(v).all()]
+    diffs = model_diffs(vectors, fed_avg(finite or vectors))
+    report = detect_anomalies(diffs, round_no, total_rounds, node_ids=node_ids)
+    state, expelled = update_suspicions(state, report, round_no)
+    return report, state, expelled
 
 
 def robust_aggregate(locals_by_node, flagged) -> np.ndarray:

@@ -186,8 +186,8 @@ def generate_synthetic(num_classes, per_class, input_dim, separation, seed) -> L
     """
     if num_classes < 1 or per_class < 1 or input_dim < 1:
         raise ValueError("num_classes, per_class and input_dim must all be >= 1")
-    if separation < 0:
-        raise ValueError("separation must be non-negative")
+    if not 0 <= separation < math.inf:
+        raise ValueError(f"separation must be finite and non-negative, got {separation}")
     rng = np.random.default_rng([seed, _SYNTH_TAG])
     centers = np.empty((num_classes, input_dim))
     for c in range(num_classes):

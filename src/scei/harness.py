@@ -95,7 +95,10 @@ class ExperimentConfig:
                 raise ValueError("fixed_alpha scheme needs a fixed_alpha value")
             if not 0.0 <= self.fixed_alpha <= 1.0:
                 raise ValueError("fixed_alpha must lie in [0, 1]")
+        attacked = [node_id for node_id, _ in self.attacks]
         for node_id, attack in self.attacks:
+            if attacked.count(node_id) > 1:
+                raise ValueError(f"node {node_id} has more than one attack")
             if not 0 <= node_id < self.partition.num_nodes:
                 raise ValueError(f"attack node id {node_id} outside 0..{self.partition.num_nodes - 1}")
             if not isinstance(attack, (AdditiveNoise, SignFlip)):
@@ -193,7 +196,6 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
     metrics = []
 
     for round_no in range(1, cfg.rounds + 1):
-        state = replace(state, round_no=round_no)
         active = state.active_nodes
         negotiate_s = dict.fromkeys(active, 0.0)
 
@@ -216,17 +218,11 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
             for rec in book.query_round(round_no, RecordKind.LOCAL_WEIGHTS)
         }
 
-        # phase 2: screening. A non-finite upload stays out of the temporary
-        # global, so its own distance is non-finite and flags it
+        # phase 2: screening
         flagged, expelled = frozenset(), ()
         if screened:
-            ordered_ids = sorted(uploads)
-            vectors = [uploads[n] for n in ordered_ids]
-            finite = [v for v in vectors if np.isfinite(v).all()]
-            diffs = contract.model_diffs(vectors, contract.fed_avg(finite or vectors))
-            report = contract.detect_anomalies(diffs, round_no, cfg.rounds, node_ids=ordered_ids)
+            report, state, expelled = contract.screen(uploads, state, round_no, cfg.rounds)
             flagged = report.flagged
-            state, expelled = contract.update_suspicions(state, report, round_no)
             book.append(round_no, RecordKind.SUSPICION_SET, None, ledger_mod.encode_node_set(flagged))
             for node_id in expelled:
                 book.append(round_no, RecordKind.EXPULSION, node_id, b"")

@@ -74,35 +74,13 @@ def _pack_header(index, round_no, kind, node_id, paylen) -> bytes:
     )
 
 
-def hash_input(index, round_no, kind, node_id, payload, prev_hash) -> bytes:
-    return _pack_header(index, round_no, kind, node_id, len(payload)) + payload + prev_hash
-
-
 def compute_hash(index, round_no, kind, node_id, payload, prev_hash) -> bytes:
-    """SHA-256 of hash_input(...), fed in pieces so the payload is not copied."""
+    """SHA-256 of the hash input (header, payload, prev hash), fed in pieces so
+    the payload is not copied."""
     digest = hashlib.sha256(_pack_header(index, round_no, kind, node_id, len(payload)))
     digest.update(payload)
     digest.update(prev_hash)
     return digest.digest()
-
-
-def record_to_bytes(record: LedgerRecord) -> bytes:
-    return (
-        hash_input(
-            record.index,
-            record.round_no,
-            record.kind,
-            record.node_id,
-            record.payload,
-            record.prev_hash,
-        )
-        + record.hash
-    )
-
-
-def record_from_bytes(buf: bytes) -> LedgerRecord:
-    """Parse one record; its payload and hashes are bytes copied out of buf."""
-    return _parse_record(*_blob_reader(buf, owned=True))
 
 
 def _parse_record(read, length: int) -> LedgerRecord:
@@ -187,26 +165,27 @@ def _file_reader(f):
 
 
 def _first_bad_index(records) -> int | None:
-    """First index whose record fails hash recomputation, linkage, or structure."""
-    if not records:
-        return 0
-    for i, rec in enumerate(records):
-        if rec.index != i:
-            return i
-        if i == 0:
-            if rec.kind is not RecordKind.GENESIS or rec.prev_hash != GENESIS_PREV_HASH:
-                return i
-        else:
-            if rec.kind is RecordKind.GENESIS:
-                return i
-            if rec.prev_hash != records[i - 1].hash:
-                return i
-        recomputed = compute_hash(
-            rec.index, rec.round_no, rec.kind, rec.node_id, rec.payload, rec.prev_hash
-        )
-        if recomputed != rec.hash:
-            return i
-    return None
+    """First index whose record is malformed, misplaced, mislinked or wrongly hashed.
+
+    Records are checked as the iterable yields them, holding only the previous
+    hash; a walker that raises LedgerFormatError marks its own index bad. An
+    empty chain is bad at 0; an intact one gives None.
+    """
+    prev, count = GENESIS_PREV_HASH, 0
+    try:
+        for rec in records:
+            if (
+                rec.index != count
+                or (rec.kind is RecordKind.GENESIS) != (count == 0)
+                or rec.prev_hash != prev
+                or compute_hash(rec.index, rec.round_no, rec.kind, rec.node_id, rec.payload, rec.prev_hash)
+                != rec.hash
+            ):
+                return count
+            prev, count = rec.hash, count + 1
+    except LedgerFormatError:
+        return count
+    return None if count else 0
 
 
 class Ledger:
@@ -286,19 +265,13 @@ class Ledger:
 
 
 def verify_dump_bytes(blob: bytes) -> int | None:
-    """Verify a serialized ledger, tolerating malformed frames.
+    """First bad record index of a serialized ledger, None when it is intact.
 
-    A frame that cannot be parsed marks its own index bad; otherwise the usual
-    hash/linkage checks apply. Returns None when everything is intact.
+    A frame that cannot be parsed marks its own index bad, unless an earlier
+    record already failed; the records only live for this check, so they stay
+    views into blob.
     """
-    # the records only live for this check, so they stay views into blob
-    records = []
-    try:
-        for record in _walk(*_blob_reader(blob, owned=False)):
-            records.append(record)
-    except LedgerFormatError:
-        return len(records)
-    return _first_bad_index(records)
+    return _first_bad_index(_walk(*_blob_reader(blob, owned=False)))
 
 
 # --- payload codecs -----------------------------------------------------------

@@ -65,8 +65,8 @@ class TrainingConfig:
             raise ValueError("batch_size must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and non-negative, got {self.learning_rate}")
 
 
 def init_params(arch: MlpArchitecture, seed: int) -> np.ndarray:

@@ -105,6 +105,25 @@ class TestVerifyLedgerCommand:
         assert empty.exit_code == 1
         assert empty.output == "TAMPERED: first bad record index 0\n"
 
+    def test_first_fault_is_reported_when_the_tail_is_also_cut(self, tmp_path):
+        cfg = write_config(tmp_path)
+        dump = tmp_path / "ledger.bin"
+        runner = CliRunner()
+        assert runner.invoke(
+            main, ["run", "--config", str(cfg), "--ledger-out", str(dump)]
+        ).exit_code == 0
+        blob = bytearray(dump.read_bytes())
+        # edit a payload byte of the fourth record, then cut the last five bytes
+        offset = 0
+        for _ in range(3):
+            (length,) = struct.unpack_from("<I", blob, offset)
+            offset += 4 + length
+        blob[offset + 4 + 34 + 10] ^= 0x01
+        dump.write_bytes(bytes(blob[:-5]))
+        bad = runner.invoke(main, ["verify-ledger", str(dump)])
+        assert bad.exit_code == 1
+        assert bad.output == "TAMPERED: first bad record index 3\n"
+
 
 class TestSummarizeCommand:
     def test_summarize_with_threshold(self, tmp_path):

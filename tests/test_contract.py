@@ -22,6 +22,7 @@ from scei.contract import (
     model_diffs,
     negotiate_alpha,
     robust_aggregate,
+    screen,
     update_suspicions,
 )
 
@@ -464,6 +465,57 @@ class TestUpdateSuspicions:
         update_suspicions(state, _report({0}), 1)
         assert state.suspicion_history == {}
         assert len(state.active_nodes) == 10
+
+
+def inline_screen(uploads, state, round_no, total_rounds):
+    """The round loop's screening as it was composed inline before `screen`."""
+    ordered_ids = sorted(uploads)
+    vectors = [uploads[n] for n in ordered_ids]
+    finite = [v for v in vectors if np.isfinite(v).all()]
+    diffs = model_diffs(vectors, fed_avg(finite or vectors))
+    report = detect_anomalies(diffs, round_no, total_rounds, node_ids=ordered_ids)
+    state, expelled = update_suspicions(state, report, round_no)
+    return report, state, expelled
+
+
+SPECIAL_VALUES = (np.inf, -np.inf, np.nan, 1e308, -1e308)
+
+
+class TestScreen:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6), st.floats(0.0, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_inline_composition(self, seed, nodes, length, poison):
+        """Same report, state and expulsions over six rounds of uploads whose
+        entries are, with probability `poison`, inf, nan or +-1e308."""
+        rng = np.random.default_rng(seed)
+        ours = theirs = ContractState.fresh(rng.choice(12, size=nodes, replace=False))
+        with np.errstate(all="ignore"):
+            for round_no in range(1, 7):
+                uploads = {}
+                for node in ours.active_nodes:
+                    v = rng.normal(size=length) * 10.0 ** int(rng.integers(-3, 4))
+                    hit = rng.random(length) < poison
+                    v[hit] = rng.choice(SPECIAL_VALUES, size=int(hit.sum()))
+                    uploads[node] = v
+                if not uploads:
+                    break
+                got = screen(uploads, ours, round_no, 6)
+                want = inline_screen(uploads, theirs, round_no, 6)
+                # repr compares nan distances too, and every float bit for bit
+                assert repr(got) == repr(want)
+                ours, theirs = got[1], want[1]
+
+    def test_a_non_finite_upload_is_expelled_at_the_fifth_round(self):
+        state = ContractState.fresh(range(6))
+        for round_no in range(1, 7):
+            uploads = {node: np.full(20, float(round_no)) for node in state.active_nodes}
+            if 3 in uploads:
+                uploads[3] = np.full(20, np.nan if round_no % 2 else np.inf)
+            report, state, expelled = screen(uploads, state, round_no, 10)
+            assert report.flagged == ({3} if round_no <= 5 else set())
+            assert expelled == ((3,) if round_no == 5 else ())
+        assert state.active_nodes == (0, 1, 2, 4, 5)
+        assert state.suspicion_history == {3: (1, 2, 3, 4, 5)}
 
 
 class TestRobustAggregate:

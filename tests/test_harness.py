@@ -424,3 +424,14 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             small_config(Scheme.SCEI, attacks=((9, SignFlip(1)),))  # node id out of range
         with pytest.raises(ValueError):
             small_config(Scheme.SCEI, rounds=0)
+        with pytest.raises(ValueError, match="^node 1 has more than one attack$"):
+            build_config({"attacks": "1:noise:10.0:1, 1:signflip:3"})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["learning_rate", "synthetic_separation"])
+    def test_non_finite_rates_rejected_naming_the_value(self, key, value):
+        """A nan or inf step size or class separation is refused up front with
+        its value, instead of aborting at round 1 as if training had diverged."""
+        raw = {"synthetic_per_class": "40", "samples_per_node": "20", "hidden": "4,4", "rounds": "1"}
+        with pytest.raises(ValueError, match=rf"must be finite and non-negative, got {value}$"):
+            run_experiment(build_config(dict(raw, **{key: value})))

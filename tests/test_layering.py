@@ -35,3 +35,33 @@ def test_the_guard_sees_every_import_form():
     )
     names = list(imported_modules(tree))
     assert names == ["perfbench", "os", "tracing.spans", "checks", "workloads.shapes"]
+
+
+# the pieces of contract.screen: the round loop reaches them only through it,
+# so the loop and an auditor replaying a dump cannot screen differently
+SCREEN_PARTS = {"fed_avg", "model_diffs", "detect_anomalies", "update_suspicions"}
+
+
+def screen_parts_used(tree: ast.AST):
+    """Every reference to a screen piece: as an attribute, a bare name or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SCREEN_PARTS:
+            yield node.attr
+        elif isinstance(node, ast.Name) and node.id in SCREEN_PARTS:
+            yield node.id
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names if alias.name in SCREEN_PARTS)
+
+
+def test_harness_screens_only_through_contract_screen():
+    path = SRC / "harness.py"
+    assert sorted(screen_parts_used(ast.parse(path.read_text(), filename=str(path)))) == []
+
+
+def test_the_screen_guard_sees_every_reference_form():
+    tree = ast.parse(
+        "contract.fed_avg(x)\nscei.contract.model_diffs(v, g)\n"
+        "from .contract import detect_anomalies as find\nupdate_suspicions(s, r, t)\n"
+        "contract.screen(u, s, t, n)\ncontract.robust_aggregate(u, f)\nfrom .contract import screen\n"
+    )
+    assert sorted(screen_parts_used(tree)) == sorted(SCREEN_PARTS)

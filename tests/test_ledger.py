@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import os
+import pathlib
 import struct
+import sys
 import tempfile
 import tracemalloc
 
@@ -24,19 +27,44 @@ from scei.ledger import (
     encode_alpha_decision,
     encode_node_set,
     encode_params,
-    record_from_bytes,
-    record_to_bytes,
     verify_dump_bytes,
+    _first_bad_index,
 )
 
+# the benchmark's dump reader, written apart from the program
+_CHECKS_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+_spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS_PATH)
+checks = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
 
-def oracle_digest(index, round_no, kind_value, node_id, payload, prev_hash):
-    """Recompute the record digest straight from the documented byte layout."""
+
+def oracle_hash_input(index, round_no, kind_value, node_id, payload, prev_hash):
+    """The hash input straight from the documented byte layout."""
     flag = 0 if node_id is None else 1
     header = struct.pack(
         "<QQBBQQ", index, round_no, kind_value, flag, node_id or 0, len(payload)
     )
-    return hashlib.sha256(header + payload + prev_hash).digest()
+    return header + payload + prev_hash
+
+
+def oracle_digest(*fields):
+    return hashlib.sha256(oracle_hash_input(*fields)).digest()
+
+
+def oracle_frame(index, round_no, kind_value, node_id, payload, prev_hash):
+    """One dump frame built from the documented layout: u32 length, then the
+    hash input, then its SHA-256."""
+    body = oracle_hash_input(index, round_no, kind_value, node_id, payload, prev_hash)
+    body += hashlib.sha256(body).digest()
+    return struct.pack("<I", len(body)) + body
+
+
+def oracle_dump(records):
+    """The dump of records, each framed by the oracle from its own fields."""
+    return b"".join(
+        oracle_frame(r.index, r.round_no, r.kind.value, r.node_id, r.payload, r.prev_hash)
+        for r in records
+    )
 
 
 def build_ledger(n_records=10, payload_size=24, seed=0):
@@ -144,9 +172,9 @@ class TestQueryRound:
 
 class TestSerialization:
     def test_record_round_trip(self):
+        """Frames built by hand from the layout parse to the records that made them."""
         book = build_ledger(10)
-        for rec in book.records:
-            assert record_from_bytes(record_to_bytes(rec)) == rec
+        assert Ledger.from_bytes(oracle_dump(book.records)).records == book.records
 
     def test_dump_round_trip(self):
         book = build_ledger(15)
@@ -175,10 +203,7 @@ class TestSerialization:
         book = build_ledger(9, payload_size=1000)
         path = tmp_path / "ledger.bin"
         book.write_dump(path)
-        framed = b"".join(
-            struct.pack("<I", len(body)) + body for body in map(record_to_bytes, book.records)
-        )
-        assert path.read_bytes() == book.to_bytes() == framed
+        assert path.read_bytes() == book.to_bytes() == oracle_dump(book.records)
 
     def test_empty_dump_rejected(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -204,15 +229,23 @@ class TestSerialization:
         assert peak <= size + size // 16, f"peak {peak} bytes for a {size}-byte dump"
 
     def test_malformed_record_rejected(self):
-        with pytest.raises(LedgerFormatError):
-            record_from_bytes(b"short")
+        with pytest.raises(LedgerFormatError, match="record too short"):
+            Ledger.from_bytes(struct.pack("<I", 5) + b"short")
 
-    @given(st.integers(0, 2**63), st.integers(0, 2**63), st.binary(max_size=64))
+    @given(
+        st.integers(0, 2**63),
+        st.one_of(st.none(), st.integers(0, 2**63)),
+        st.binary(max_size=64),
+    )
     @settings(max_examples=50, deadline=None)
     def test_record_round_trip_property(self, round_no, node_id, payload):
-        rec_hash = compute_hash(3, round_no, RecordKind.ACCURACY_LIST, node_id, payload, b"p" * 32)
-        rec = LedgerRecord(3, round_no, RecordKind.ACCURACY_LIST, node_id, payload, b"p" * 32, rec_hash)
-        assert record_from_bytes(record_to_bytes(rec)) == rec
+        """A hand-built frame parses to its fields, and its hash is compute_hash's."""
+        kind = RecordKind.ACCURACY_LIST
+        frame = oracle_frame(3, round_no, kind.value, node_id, payload, b"p" * 32)
+        (rec,) = Ledger.from_bytes(frame).records
+        rec_hash = compute_hash(3, round_no, kind, node_id, payload, b"p" * 32)
+        assert rec == LedgerRecord(3, round_no, kind, node_id, payload, b"p" * 32, rec_hash)
+        assert rec.hash == frame[-32:]
 
 
 class TestTamperDetection:
@@ -245,6 +278,62 @@ class TestTamperDetection:
     def test_truncated_tail_detected(self):
         blob = build_ledger(6).to_bytes()
         assert verify_dump_bytes(blob[:-5]) is not None
+
+    def test_first_fault_wins_over_a_later_malformed_frame(self):
+        """A payload edit in record 3 and a cut tail: record 3 is the first bad
+        one, as the independent reader says, not the truncated last frame."""
+        blob = bytearray(build_ledger(12, payload_size=40).to_bytes())
+        blob[_framed(bytes(blob))[3] + 4 + 34 + 10] ^= 0x01  # a payload byte
+        two_faults = bytes(blob[:-5])
+        assert verify_dump_bytes(two_faults) == 3
+        assert checks.read_dump(two_faults).first_bad == 3
+        with pytest.raises(LedgerFormatError, match="truncated"):
+            Ledger.from_bytes(two_faults)
+
+    def test_the_check_stops_at_the_first_fault(self):
+        """Records are checked as they come: nothing past the first bad record
+        is pulled, and a walker that raises marks its own index."""
+        records = build_ledger(8).records
+        forged = records[:]
+        forged[4] = LedgerRecord(4, 1, RecordKind.GLOBAL_WEIGHTS, None, b"x", records[3].hash, records[4].hash)
+        pulled = []
+
+        def stream(recs, fail_at=None):
+            for i, rec in enumerate(recs):
+                if i == fail_at:
+                    raise LedgerFormatError("malformed")
+                pulled.append(i)
+                yield rec
+
+        assert _first_bad_index(stream(forged)) == 4
+        assert pulled == [0, 1, 2, 3, 4]
+        assert _first_bad_index(stream(records, fail_at=6)) == 6
+        assert _first_bad_index(stream(records)) is None
+        assert _first_bad_index(iter(())) == 0
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["edit 0x01", "edit 0x5a", "edit 0xff", "truncate", "length"],
+    )
+    def test_every_single_fault_agrees_with_the_independent_reader(self, fault):
+        """verify_dump_bytes reports the first bad record perfbench's own reader
+        finds, for every byte edit, every cut and bogus frame lengths."""
+        blob = build_ledger(6, payload_size=24).to_bytes()
+        offsets = _framed(blob)
+        if fault == "truncate":
+            faulty = [blob[:n] for n in range(len(blob))]
+        elif fault == "length":
+            lengths = (0, 1, 97, 98, 99, 121, 122, 123, 2**32 - 1)
+            faulty = [
+                blob[:at] + struct.pack("<I", n) + blob[at + 4 :] for at in offsets for n in lengths
+            ]
+        else:
+            mask = int(fault.split()[1], 16)
+            faulty = [
+                blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :] for at in range(len(blob))
+            ]
+        for dump in faulty:
+            assert verify_dump_bytes(dump) == checks.read_dump(dump).first_bad
 
 
 def _framed(blob):
