@@ -50,5 +50,6 @@ cfg = ExperimentConfig(
 )
 print("\nrunning 10 negotiated rounds on non-iid synthetic data...")
 result = run_experiment(cfg)
-for row, alpha in zip(summarize(result.metrics).rounds, result.state.alpha_history):
-    print(f"  round {row.round_no:2d}: alpha {alpha:.2f}, mean accuracy {row.mean_accuracy:.3f}")
+alphas = {m.round_no: m.alpha for m in result.metrics}
+for row in summarize(result.metrics).rounds:
+    print(f"  round {row.round_no:2d}: alpha {alphas[row.round_no]:.2f}, mean accuracy {row.mean_accuracy:.3f}")

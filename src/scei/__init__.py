@@ -22,6 +22,8 @@ from .contract import (
     mix,
     model_diffs,
     negotiate_alpha,
+    population_mean,
+    population_variance,
     robust_aggregate,
     screen,
     update_suspicions,
@@ -53,7 +55,7 @@ from .harness import (
     summarize,
     write_csv,
 )
-from .ledger import Ledger, LedgerFormatError, LedgerRecord, RecordKind, verify_dump_bytes
+from .ledger import Ledger, LedgerFormatError, LedgerRecord, RecordKind, verify_dump_bytes, verify_dump_file
 from .model import (
     MlpArchitecture,
     TrainingConfig,
@@ -65,7 +67,6 @@ from .model import (
 )
 from .node import (
     AdditiveNoise,
-    CandidateReport,
     NodeState,
     NonFiniteWeights,
     SignFlip,

@@ -12,7 +12,7 @@ from .harness import (
     run_experiment,
     summarize,
 )
-from .ledger import _blob_reader, _walk, verify_dump_bytes
+from .ledger import verify_dump_file
 
 
 @click.group()
@@ -61,12 +61,10 @@ def run(config_path, scheme, rounds, seed, out, ledger_out):
 @main.command("verify-ledger")
 @click.argument("dump", type=click.Path(exists=True, dir_okay=False))
 def verify_ledger(dump):
-    """Check the hash chain of a ledger dump file."""
-    with open(dump, "rb") as f:
-        blob = f.read()
-    bad = verify_dump_bytes(blob)
+    """Check the hash chain of a ledger dump file, one record at a time."""
+    bad, count = verify_dump_file(dump)
     if bad is None:
-        click.echo(f"ok: {sum(1 for _ in _walk(*_blob_reader(blob, owned=False)))} records, chain intact")
+        click.echo(f"ok: {count} records, chain intact")
     else:
         click.echo(f"TAMPERED: first bad record index {bad}")
         raise SystemExit(1)

@@ -100,19 +100,15 @@ class DefenceReport:
 
 @dataclass(frozen=True)
 class ContractState:
-    """The coordinator's view: participants, suspicion history, negotiated alphas."""
+    """The coordinator's view: participants and suspicion history. The
+    negotiated alphas live in the ledger's ALPHA_DECISION records."""
 
     active_nodes: tuple
     suspicion_history: dict
-    alpha_history: tuple
 
     @classmethod
     def fresh(cls, node_ids) -> "ContractState":
-        return cls(
-            active_nodes=tuple(sorted(int(n) for n in node_ids)),
-            suspicion_history={},
-            alpha_history=(),
-        )
+        return cls(active_nodes=tuple(sorted(int(n) for n in node_ids)), suspicion_history={})
 
 
 def fed_avg(local_vectors) -> np.ndarray:
@@ -173,8 +169,8 @@ def build_grid(start: float, end: float, step: float) -> NegotiationGrid:
     """
     if not 0.0 <= start < end <= 1.0:
         raise ValueError(f"need 0 <= start < end <= 1, got start={start}, end={end}")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
     count = int(math.floor((end - start) / step + 1e-12))
     alphas = [start + i * step for i in range(count + 1)]
     if abs(alphas[-1] - end) <= 1e-12:
@@ -182,48 +178,41 @@ def build_grid(start: float, end: float, step: float) -> NegotiationGrid:
     return NegotiationGrid(alphas=tuple(alphas))
 
 
-def _column_mean(column) -> float:
+def population_mean(values) -> float:
+    """Mean of values, summed left to right in float64."""
     total = 0.0
-    for v in column:
+    for v in values:
         total += float(v)
-    return total / len(column)
+    return total / len(values)
 
 
-def _column_variance(column) -> float:
-    mean = _column_mean(column)
+def population_variance(values) -> float:
+    """Population variance of values, summed left to right around their mean."""
+    mean = population_mean(values)
     total = 0.0
-    for v in column:
+    for v in values:
         total += (float(v) - mean) ** 2
-    return total / len(column)
+    return total / len(values)
 
 
 def negotiate_alpha(acc: AccuracyMatrix, grid: NegotiationGrid, policy: Policy):
     """Pick the grid alpha the policy prefers; ties go to the smallest alpha.
 
     MAX_MEAN maximizes the across-node mean accuracy of a column; MIN_VARIANCE
-    minimizes the across-node population variance. Returns (alpha, grid index).
+    minimizes the across-node population variance, that is, it maximizes the
+    negated variance. Returns (alpha, grid index).
     """
     if acc.values.shape[1] != len(grid):
         raise ValueError(
             f"matrix has {acc.values.shape[1]} columns for a grid of {len(grid)}"
         )
-    best_index = 0
     if policy is Policy.MAX_MEAN:
-        best_score = _column_mean(acc.values[:, 0])
-        for r in range(1, len(grid)):
-            score = _column_mean(acc.values[:, r])
-            if score > best_score:
-                best_score = score
-                best_index = r
+        scores = [population_mean(column) for column in acc.values.T]
     elif policy is Policy.MIN_VARIANCE:
-        best_score = _column_variance(acc.values[:, 0])
-        for r in range(1, len(grid)):
-            score = _column_variance(acc.values[:, r])
-            if score < best_score:
-                best_score = score
-                best_index = r
+        scores = [-population_variance(column) for column in acc.values.T]
     else:
         raise ValueError(f"unknown policy {policy!r}")
+    best_index = scores.index(max(scores))
     return grid.alphas[best_index], best_index
 
 

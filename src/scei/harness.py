@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import enum
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,14 +246,14 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                 if node_id in flagged:
                     continue
                 start = time.perf_counter()
-                cand = node_mod.evaluate_candidates(by_id[node_id], cfg.arch, global_weights, grid)
+                accuracies = node_mod.evaluate_candidates(by_id[node_id], cfg.arch, global_weights, grid)
                 negotiate_s[node_id] = time.perf_counter() - start
                 start = time.perf_counter()
                 book.append(
                     round_no,
                     RecordKind.ACCURACY_LIST,
                     node_id,
-                    ledger_mod.encode_accuracy_list(grid.alphas, cand.accuracies),
+                    ledger_mod.encode_accuracy_list(grid.alphas, accuracies),
                 )
                 ledger_s[node_id] += time.perf_counter() - start
 
@@ -272,7 +272,6 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
             alpha = ledger_mod.decode_alpha_decision(
                 book.query_round(round_no, RecordKind.ALPHA_DECISION)[0].payload
             )[0]
-            state = replace(state, alpha_history=state.alpha_history + (alpha,))
             candidate_acc = {node_id: accs[grid_index] for node_id, accs in rows}
 
         # phase 5: personalization and metrics; a node expelled this round
@@ -345,18 +344,10 @@ def summarize(metrics, threshold: float | None = None) -> ExperimentSummary:
     by_round = {}
     for m in metrics:
         by_round.setdefault(m.round_no, []).append(m.accuracy)
-    summaries = []
-    for round_no in sorted(by_round):
-        values = by_round[round_no]
-        mean = 0.0
-        for v in values:
-            mean += v
-        mean /= len(values)
-        var = 0.0
-        for v in values:
-            var += (v - mean) ** 2
-        var /= len(values)
-        summaries.append(RoundSummary(round_no=round_no, mean_accuracy=mean, variance=var))
+    summaries = [
+        RoundSummary(round_no, contract.population_mean(values), contract.population_variance(values))
+        for round_no, values in sorted(by_round.items())
+    ]
     reached = None
     if threshold is not None:
         for s in summaries:
@@ -492,6 +483,12 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
     else:
         raise ValueError(f"unknown dataset {dataset_kind!r}")
 
+    grid = (get("grid_start"), get("grid_end"), get("grid_step"))
+    try:
+        build_grid(*grid)
+    except ValueError as exc:
+        raise ValueError(f"config keys 'grid_start', 'grid_end', 'grid_step': {exc}") from exc
+
     return ExperimentConfig(
         scheme=get("scheme"),
         dataset=dataset,
@@ -510,7 +507,7 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
             rng_seed=seed,
         ),
         rounds=get("rounds"),
-        grid=(get("grid_start"), get("grid_end"), get("grid_step")),
+        grid=grid,
         policy=get("policy"),
         attacks=get("attacks"),
         fixed_alpha=get("fixed_alpha"),

@@ -164,12 +164,13 @@ def _file_reader(f):
     return read, os.fstat(f.fileno()).st_size
 
 
-def _first_bad_index(records) -> int | None:
-    """First index whose record is malformed, misplaced, mislinked or wrongly hashed.
+def _first_bad_index(records):
+    """(first bad index or None, how many records passed) for a chain, in one pass.
 
     Records are checked as the iterable yields them, holding only the previous
-    hash; a walker that raises LedgerFormatError marks its own index bad. An
-    empty chain is bad at 0; an intact one gives None.
+    hash; a bad record is one that is malformed, misplaced, mislinked or
+    wrongly hashed, and a walker that raises LedgerFormatError marks its own
+    index bad. An empty chain is bad at 0.
     """
     prev, count = GENESIS_PREV_HASH, 0
     try:
@@ -181,11 +182,11 @@ def _first_bad_index(records) -> int | None:
                 or compute_hash(rec.index, rec.round_no, rec.kind, rec.node_id, rec.payload, rec.prev_hash)
                 != rec.hash
             ):
-                return count
+                return count, count
             prev, count = rec.hash, count + 1
     except LedgerFormatError:
-        return count
-    return None if count else 0
+        return count, count
+    return (None if count else 0), count
 
 
 class Ledger:
@@ -216,7 +217,7 @@ class Ledger:
 
     def verify_chain(self) -> int | None:
         """None when the chain is intact, else the first bad record index."""
-        return _first_bad_index(self.records)
+        return _first_bad_index(self.records)[0]
 
     def query_round(self, round_no: int, kind: RecordKind) -> list:
         return [r for r in self.records if r.round_no == round_no and r.kind is kind]
@@ -271,7 +272,17 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     record already failed; the records only live for this check, so they stay
     views into blob.
     """
-    return _first_bad_index(_walk(*_blob_reader(blob, owned=False)))
+    return _first_bad_index(_walk(*_blob_reader(blob, owned=False)))[0]
+
+
+def verify_dump_file(path):
+    """(first bad record index or None, record count) of a dump file.
+
+    The file is checked in one pass that holds one record at a time, and it
+    gives the index verify_dump_bytes gives for the file's bytes.
+    """
+    with open(path, "rb") as f:
+        return _first_bad_index(_walk(*_file_reader(f)))
 
 
 # --- payload codecs -----------------------------------------------------------
@@ -288,39 +299,35 @@ def encode_params(values: np.ndarray) -> bytes:
     return b"".join((struct.pack("<Q", vec.size), memoryview(vec).cast("B")))
 
 
-def decode_params(payload: bytes) -> np.ndarray:
+def _count(payload, item_size: int, what: str) -> int:
+    """The u64 count that prefixes payload, checked against the payload's length."""
     if len(payload) < 8:
-        raise LedgerFormatError("parameter payload too short")
+        raise LedgerFormatError(f"{what} payload too short")
     (count,) = struct.unpack_from("<Q", payload, 0)
-    if len(payload) != 8 + 8 * count:
-        raise LedgerFormatError("parameter payload length mismatch")
+    if len(payload) != 8 + item_size * count:
+        raise LedgerFormatError(f"{what} payload length mismatch")
+    return count
+
+
+def decode_params(payload: bytes) -> np.ndarray:
+    count = _count(payload, 8, "parameter")
     return np.frombuffer(payload, dtype="<f8", count=count, offset=8).astype(np.float64)
 
 
 def encode_accuracy_list(alphas, accuracies) -> bytes:
+    """The u64 count, then (alpha f64, accuracy f64) pairs in grid order."""
     alphas = [float(a) for a in alphas]
     accuracies = [float(a) for a in accuracies]
     if len(alphas) != len(accuracies):
         raise ValueError("alphas and accuracies must pair up")
-    body = struct.pack("<Q", len(alphas))
-    for alpha, acc in zip(alphas, accuracies):
-        body += struct.pack("<dd", alpha, acc)
-    return body
+    pairs = [x for pair in zip(alphas, accuracies) for x in pair]
+    return struct.pack(f"<Q{len(pairs)}d", len(alphas), *pairs)
 
 
 def decode_accuracy_list(payload: bytes):
-    if len(payload) < 8:
-        raise LedgerFormatError("accuracy payload too short")
-    (count,) = struct.unpack_from("<Q", payload, 0)
-    if len(payload) != 8 + 16 * count:
-        raise LedgerFormatError("accuracy payload length mismatch")
-    alphas = []
-    accuracies = []
-    for i in range(count):
-        alpha, acc = struct.unpack_from("<dd", payload, 8 + 16 * i)
-        alphas.append(alpha)
-        accuracies.append(acc)
-    return tuple(alphas), tuple(accuracies)
+    count = _count(payload, 16, "accuracy")
+    pairs = struct.unpack(f"<Q{2 * count}d", payload)[1:]
+    return pairs[0::2], pairs[1::2]
 
 
 def encode_alpha_decision(alpha: float, grid_index: int) -> bytes:
@@ -335,16 +342,11 @@ def decode_alpha_decision(payload: bytes):
 
 
 def encode_node_set(node_ids) -> bytes:
+    """The u64 count, then the ids ascending as u64."""
     ids = sorted(int(n) for n in node_ids)
-    return struct.pack("<Q", len(ids)) + b"".join(struct.pack("<Q", n) for n in ids)
+    return struct.pack(f"<Q{len(ids)}Q", len(ids), *ids)
 
 
 def decode_node_set(payload: bytes):
-    if len(payload) < 8:
-        raise LedgerFormatError("node set payload too short")
-    (count,) = struct.unpack_from("<Q", payload, 0)
-    if len(payload) != 8 + 8 * count:
-        raise LedgerFormatError("node set payload length mismatch")
-    return tuple(
-        struct.unpack_from("<Q", payload, 8 + 8 * i)[0] for i in range(count)
-    )
+    count = _count(payload, 8, "node set")
+    return struct.unpack(f"<Q{count}Q", payload)[1:]

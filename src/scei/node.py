@@ -59,14 +59,6 @@ class NodeState:
     attack: AdditiveNoise | SignFlip | None = None
 
 
-@dataclass(frozen=True)
-class CandidateReport:
-    """One node's test accuracy for every candidate alpha on the grid, in grid order."""
-
-    node_id: int
-    accuracies: tuple
-
-
 def _attack_active(attack, round_no: int) -> bool:
     return attack is not None and round_no >= attack.start_round
 
@@ -129,14 +121,14 @@ def evaluate_candidates(
     arch: MlpArchitecture,
     global_weights: np.ndarray,
     grid: NegotiationGrid,
-) -> CandidateReport:
+) -> tuple:
     """Mix the node's weights with the global model at every grid alpha and
-    score each candidate on the node's local test set."""
-    accuracies = tuple(
+    score each candidate on the node's local test set; the accuracies come
+    back in grid order."""
+    return tuple(
         evaluate(mix(node.local_weights, global_weights, alpha), arch, node.split.test)
         for alpha in grid.alphas
     )
-    return CandidateReport(node_id=node.node_id, accuracies=accuracies)
 
 
 def apply_alpha(node: NodeState, global_weights: np.ndarray, alpha: float) -> NodeState:

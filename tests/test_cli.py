@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 from click.testing import CliRunner
 
 from scei.cli import main
+from scei.ledger import Ledger, RecordKind
 
 CONFIG = """
 scheme = scei
@@ -67,7 +69,7 @@ class TestVerifyLedgerCommand:
 
         ok = runner.invoke(main, ["verify-ledger", str(dump)])
         assert ok.exit_code == 0
-        assert ok.output.startswith("ok:")
+        assert ok.output == f"ok: {len(Ledger.read_dump(dump))} records, chain intact\n"
 
         blob = bytearray(dump.read_bytes())
         # flip one byte inside the third record's frame body
@@ -81,7 +83,6 @@ class TestVerifyLedgerCommand:
         assert bad.exit_code == 1
         assert "TAMPERED" in bad.output
         assert "index 2" in bad.output
-
 
     def test_truncated_and_empty_dumps_are_tampered(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -123,6 +124,26 @@ class TestVerifyLedgerCommand:
         bad = runner.invoke(main, ["verify-ledger", str(dump)])
         assert bad.exit_code == 1
         assert bad.output == "TAMPERED: first bad record index 3\n"
+
+
+    def test_the_check_holds_one_record_at_a_time(self, tmp_path):
+        """On a dump of 1 MB records the check allocates a few records' worth,
+        far less than the dump: it never reads the file whole."""
+        book = Ledger()
+        for node_id in range(16):
+            book.append(1, RecordKind.LOCAL_WEIGHTS, node_id, bytes([node_id]) * 2**20)
+        dump = tmp_path / "ledger.bin"
+        book.write_dump(dump)
+        size = dump.stat().st_size
+        del book
+        tracemalloc.start()
+        try:
+            result = CliRunner().invoke(main, ["verify-ledger", str(dump)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.output == "ok: 17 records, chain intact\n"
+        assert peak < size // 4, f"peak {peak} bytes for a {size}-byte dump"
 
 
 class TestSummarizeCommand:

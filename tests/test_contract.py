@@ -222,6 +222,9 @@ class TestBuildGrid:
             build_grid(0.0, 1.1, 0.05)
         with pytest.raises(ValueError):
             build_grid(0.0, 1.0, 0.0)
+        for step in (math.nan, math.inf, -math.inf, -0.05):
+            with pytest.raises(ValueError, match=rf"^step must be finite and positive, got {step}$"):
+                build_grid(0.5, 0.8, step)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

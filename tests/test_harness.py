@@ -21,7 +21,7 @@ from scei.harness import (
     write_csv,
     _run_rounds,
 )
-from scei.ledger import Ledger, RecordKind, decode_params, encode_params
+from scei.ledger import Ledger, RecordKind, decode_alpha_decision, decode_params, encode_params
 from scei.model import MlpArchitecture, TrainingConfig, init_params
 from scei.node import AdditiveNoise, NodeState, SignFlip
 
@@ -99,16 +99,18 @@ class TestProtocolLedgerFlow:
             assert len(book.query_round(round_no, RecordKind.ALPHA_DECISION)) == 1
 
     def test_alpha_history_matches_ledger(self):
+        """Every metrics row carries its round's recorded alpha decision."""
         result = run_experiment(small_config(Scheme.SCEI))
-        from scei.ledger import decode_alpha_decision
-
-        for round_no, alpha in enumerate(result.state.alpha_history, start=1):
-            rec = result.ledger.query_round(round_no, RecordKind.ALPHA_DECISION)[0]
-            assert decode_alpha_decision(rec.payload)[0] == alpha
+        assert {m.round_no for m in result.metrics} == {1, 2, 3}
+        for m in result.metrics:
+            rec = result.ledger.query_round(m.round_no, RecordKind.ALPHA_DECISION)[0]
+            assert decode_alpha_decision(rec.payload)[0] == m.alpha
 
     def test_negotiated_alpha_within_grid(self):
         result = run_experiment(small_config(Scheme.SCEI))
-        assert all(0.5 <= a <= 0.8 for a in result.state.alpha_history)
+        alphas = recorded_alphas(result.ledger)
+        assert len(alphas) == 3
+        assert all(0.5 <= a <= 0.8 for a in alphas)
 
     def test_one_metrics_row_per_active_node_per_round(self):
         result = run_experiment(small_config(Scheme.SCEI, rounds=4))
@@ -117,6 +119,11 @@ class TestProtocolLedgerFlow:
             seen.setdefault(m.round_no, []).append(m.node_id)
         for round_no, ids in seen.items():
             assert ids == sorted(ids) == list(range(4))
+
+
+def recorded_alphas(book):
+    """The negotiated alphas, one per round, from the ALPHA_DECISION records."""
+    return [decode_alpha_decision(r.payload)[0] for r in book.records if r.kind is RecordKind.ALPHA_DECISION]
 
 
 def _identical_nodes(arch, weights, n=2):
@@ -153,7 +160,8 @@ class TestSymmetry:
         metrics, state = _run_rounds(nodes, book, state, cfg)
         # identical data and identical training make every accuracy column tie,
         # so negotiation must settle on the grid minimum
-        assert state.alpha_history == (0.5, 0.5)
+        assert recorded_alphas(book) == [0.5, 0.5]
+        assert [m.alpha for m in metrics] == [0.5] * 4
         per_round = {}
         for m in metrics:
             per_round.setdefault(m.round_no, []).append(m.accuracy)
@@ -338,12 +346,20 @@ class TestSummarize:
             for n in range(6)
         ]
         summary = summarize(metrics)
+        assert [row.round_no for row in summary.rounds] == [1, 2, 3, 4]
         for row in summary.rounds:
             values = [m.accuracy for m in metrics if m.round_no == row.round_no]
-            mean = sum(values) / len(values)
-            var = sum((v - mean) ** 2 for v in values) / len(values)
-            assert abs(row.mean_accuracy - mean) < 1e-12
-            assert abs(row.variance - var) < 1e-12
+            # sums taken left to right, so the summary is equal to the last bit
+            mean = 0.0
+            for v in values:
+                mean += v
+            mean /= len(values)
+            var = 0.0
+            for v in values:
+                var += (v - mean) ** 2
+            var /= len(values)
+            assert row.mean_accuracy == mean
+            assert row.variance == var
 
     def test_threshold_first_round(self):
         metrics = [
@@ -426,6 +442,11 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             small_config(Scheme.SCEI, rounds=0)
         with pytest.raises(ValueError, match="^node 1 has more than one attack$"):
             build_config({"attacks": "1:noise:10.0:1, 1:signflip:3"})
+        # a grid that cannot be built is refused with its keys, before any round runs
+        for key in ("grid_start", "grid_end", "grid_step"):
+            for value in ("nan", "inf"):
+                with pytest.raises(ValueError, match=rf"^config keys 'grid_start', 'grid_end', 'grid_step': .*{value}"):
+                    build_config({key: value})
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["learning_rate", "synthetic_separation"])

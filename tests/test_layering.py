@@ -65,3 +65,54 @@ def test_the_screen_guard_sees_every_reference_form():
         "contract.screen(u, s, t, n)\ncontract.robust_aggregate(u, f)\nfrom .contract import screen\n"
     )
     assert sorted(screen_parts_used(tree)) == sorted(SCREEN_PARTS)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_names_reached(tree: ast.AST):
+    """Every `_private` name of another scei module that this code imports, or
+    reaches as an attribute of an imported scei module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "scei"):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    yield alias.name
+                modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "scei":
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                yield node.attr
+
+
+def test_no_module_reaches_another_modules_private_names():
+    """A private name is its module's own business: the CLI and a future
+    auditor call the public functions, so there is one way in to each."""
+    offending = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in private_names_reached(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert offending == []
+
+
+def test_the_private_name_guard_sees_every_form():
+    tree = ast.parse(
+        "from .ledger import _walk, verify_dump_file\nfrom scei.ledger import _blob_reader as reader\n"
+        "from . import ledger as ledger_mod, node\nimport scei.contract\nimport scei.model as model\n"
+        "ledger_mod._file_reader(f)\nnode._TRAIN_TAG\nscei.contract._fence(x)\nmodel._cache.clear()\n"
+        "self._frame_parts()\ncls._loaded(r)\nrecord._private\nscei.__version__\nledger_mod.__file__\n"
+        "from .model import __doc__\nimport numpy as np\nnp._NoValue\n"
+    )
+    assert sorted(private_names_reached(tree)) == sorted(
+        ["_walk", "_blob_reader", "_file_reader", "_TRAIN_TAG", "_fence", "_cache"]
+    )

@@ -28,6 +28,7 @@ from scei.ledger import (
     encode_node_set,
     encode_params,
     verify_dump_bytes,
+    verify_dump_file,
     _first_bad_index,
 )
 
@@ -305,19 +306,20 @@ class TestTamperDetection:
                 pulled.append(i)
                 yield rec
 
-        assert _first_bad_index(stream(forged)) == 4
+        assert _first_bad_index(stream(forged)) == (4, 4)
         assert pulled == [0, 1, 2, 3, 4]
-        assert _first_bad_index(stream(records, fail_at=6)) == 6
-        assert _first_bad_index(stream(records)) is None
-        assert _first_bad_index(iter(())) == 0
+        assert _first_bad_index(stream(records, fail_at=6)) == (6, 6)
+        assert _first_bad_index(stream(records)) == (None, 9)
+        assert _first_bad_index(iter(())) == (0, 0)
 
     @pytest.mark.parametrize(
         "fault",
         ["edit 0x01", "edit 0x5a", "edit 0xff", "truncate", "length"],
     )
-    def test_every_single_fault_agrees_with_the_independent_reader(self, fault):
+    def test_every_single_fault_agrees_with_the_independent_reader(self, fault, tmp_path):
         """verify_dump_bytes reports the first bad record perfbench's own reader
-        finds, for every byte edit, every cut and bogus frame lengths."""
+        finds, for every byte edit, every cut and bogus frame lengths, and the
+        streaming file check gives the same index for the same bytes."""
         blob = build_ledger(6, payload_size=24).to_bytes()
         offsets = _framed(blob)
         if fault == "truncate":
@@ -332,8 +334,12 @@ class TestTamperDetection:
             faulty = [
                 blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :] for at in range(len(blob))
             ]
+        path = tmp_path / "ledger.bin"
         for dump in faulty:
-            assert verify_dump_bytes(dump) == checks.read_dump(dump).first_bad
+            bad = verify_dump_bytes(dump)
+            assert bad == checks.read_dump(dump).first_bad
+            path.write_bytes(dump)
+            assert verify_dump_file(path) == (bad, len(Ledger.from_bytes(dump)) if bad is None else bad)
 
 
 def _framed(blob):
@@ -443,3 +449,32 @@ class TestPayloadCodecs:
         blob = encode_params(np.ones(4))
         with pytest.raises(LedgerFormatError):
             decode_params(blob[:-8])
+
+    @pytest.mark.parametrize(
+        "decode, what, blob",
+        [
+            (decode_params, "parameter", encode_params(np.ones(3))),
+            (decode_accuracy_list, "accuracy", encode_accuracy_list((0.5, 0.6), (0.9, 0.8))),
+            (decode_node_set, "node set", encode_node_set({2, 7, 9})),
+        ],
+        ids=["params", "accuracy", "node-set"],
+    )
+    def test_count_prefixed_payloads_are_checked_against_their_length(self, decode, what, blob):
+        for short in (b"", blob[:7]):
+            with pytest.raises(LedgerFormatError, match=f"^{what} payload too short$"):
+                decode(short)
+        for wrong in (blob[:-1], blob[:-8], blob + b"\x00", struct.pack("<Q", 2**61) + blob[8:]):
+            with pytest.raises(LedgerFormatError, match=f"^{what} payload length mismatch$"):
+                decode(wrong)
+
+    def test_accuracy_list_bytes_are_the_per_pair_packing(self):
+        alphas, accs = (0.5, 0.55, 0.6), (0.91, np.float64(0.88), 1)
+        expected = struct.pack("<Q", 3) + b"".join(struct.pack("<dd", a, c) for a, c in zip(alphas, accs))
+        assert encode_accuracy_list(alphas, accs) == expected
+        assert encode_accuracy_list((), ()) == struct.pack("<Q", 0)
+
+    def test_node_set_bytes_are_the_per_id_packing(self):
+        ids = {9, 0, 2**64 - 1, np.int64(4)}
+        expected = struct.pack("<Q", 4) + b"".join(struct.pack("<Q", n) for n in (0, 4, 9, 2**64 - 1))
+        assert encode_node_set(ids) == expected
+        assert encode_node_set([]) == struct.pack("<Q", 0)

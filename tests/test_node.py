@@ -164,30 +164,31 @@ class TestEvaluateCandidates:
     def test_identical_inputs_give_equal_accuracies(self):
         node = make_node()
         grid = build_grid(0.5, 0.8, 0.05)
-        report = evaluate_candidates(node, ARCH, node.local_weights.copy(), grid)
-        assert len(set(report.accuracies)) == 1
+        accuracies = evaluate_candidates(node, ARCH, node.local_weights.copy(), grid)
+        assert len(set(accuracies)) == 1
 
     def test_alpha_zero_grid_scores_global(self):
         node = make_node()
         global_w = init_params(ARCH, 5)
         from scei.contract import NegotiationGrid
 
-        report = evaluate_candidates(node, ARCH, global_w, NegotiationGrid((0.0,)))
-        assert report.accuracies[0] == evaluate(global_w, ARCH, node.split.test)
+        accuracies = evaluate_candidates(node, ARCH, global_w, NegotiationGrid((0.0,)))
+        assert accuracies[0] == evaluate(global_w, ARCH, node.split.test)
 
     def test_alpha_one_grid_scores_local(self):
         node = make_node()
         node.local_weights = init_params(ARCH, 8)
         from scei.contract import NegotiationGrid
 
-        report = evaluate_candidates(node, ARCH, init_params(ARCH, 5), NegotiationGrid((1.0,)))
-        assert report.accuracies[0] == evaluate(node.local_weights, ARCH, node.split.test)
+        accuracies = evaluate_candidates(node, ARCH, init_params(ARCH, 5), NegotiationGrid((1.0,)))
+        assert accuracies[0] == evaluate(node.local_weights, ARCH, node.split.test)
 
     def test_accuracies_in_unit_interval(self):
         node = make_node()
         grid = build_grid(0.5, 0.8, 0.05)
-        report = evaluate_candidates(node, ARCH, init_params(ARCH, 5), grid)
-        assert all(0.0 <= a <= 1.0 for a in report.accuracies)
+        accuracies = evaluate_candidates(node, ARCH, init_params(ARCH, 5), grid)
+        assert type(accuracies) is tuple and len(accuracies) == len(grid)
+        assert all(0.0 <= a <= 1.0 for a in accuracies)
 
 
 class TestApplyAlpha:
