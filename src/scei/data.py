@@ -120,10 +120,31 @@ class NodeDataSplit:
     base_indices: np.ndarray
 
 
-def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
+def _read_be_u32(buf: bytes, offset: int, path) -> int:
     if offset + 4 > len(buf):
         raise IdxFormatError(f"{path}: truncated header")
     return struct.unpack_from(">I", buf, offset)[0]
+
+
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """One IDX file as a uint8 array of its declared shape.
+
+    The big-endian magic's low byte is the dimension count; one u32 size per
+    dimension follows, then exactly that many bytes of data.
+    """
+    with open(path, "rb") as f:
+        buf = f.read()
+    found = _read_be_u32(buf, 0, path)
+    if found != magic:
+        raise IdxFormatError(f"{path}: wrong magic: expected {magic:#010x}, got {found:#010x}")
+    shape = [_read_be_u32(buf, 4 + 4 * i, path) for i in range(magic & 0xFF)]
+    offset = 4 + 4 * len(shape)
+    expected = offset + math.prod(shape)
+    if len(buf) < expected:
+        raise IdxFormatError(f"{path}: truncated {what} data ({len(buf)} bytes, need {expected})")
+    if len(buf) > expected:
+        raise IdxFormatError(f"{path}: trailing bytes after {what} data")
+    return np.frombuffer(buf, dtype=np.uint8, offset=offset).reshape(shape)
 
 
 def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
@@ -132,49 +153,13 @@ def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     Validates the big-endian magics (0x00000803 images, 0x00000801 labels),
     exact payload lengths, and that both files agree on the example count.
     """
-    with open(images_path, "rb") as f:
-        img_buf = f.read()
-    with open(labels_path, "rb") as f:
-        lab_buf = f.read()
-
-    img_magic = _read_be_u32(img_buf, 0, str(images_path))
-    if img_magic != IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: wrong magic: expected {IMAGE_MAGIC:#010x}, got {img_magic:#010x}"
-        )
-    n_images = _read_be_u32(img_buf, 4, str(images_path))
-    rows = _read_be_u32(img_buf, 8, str(images_path))
-    cols = _read_be_u32(img_buf, 12, str(images_path))
-    expected = 16 + n_images * rows * cols
-    if len(img_buf) < expected:
-        raise IdxFormatError(
-            f"{images_path}: truncated pixel data ({len(img_buf)} bytes, need {expected})"
-        )
-    if len(img_buf) > expected:
-        raise IdxFormatError(f"{images_path}: trailing bytes after pixel data")
-
-    lab_magic = _read_be_u32(lab_buf, 0, str(labels_path))
-    if lab_magic != LABEL_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: wrong magic: expected {LABEL_MAGIC:#010x}, got {lab_magic:#010x}"
-        )
-    n_labels = _read_be_u32(lab_buf, 4, str(labels_path))
-    if len(lab_buf) < 8 + n_labels:
-        raise IdxFormatError(
-            f"{labels_path}: truncated label data ({len(lab_buf)} bytes, need {8 + n_labels})"
-        )
-    if len(lab_buf) > 8 + n_labels:
-        raise IdxFormatError(f"{labels_path}: trailing bytes after label data")
-
-    if n_images != n_labels:
-        raise IdxFormatError(
-            f"count mismatch: {n_images} images vs {n_labels} labels"
-        )
-
-    pixels = np.frombuffer(img_buf, dtype=np.uint8, count=n_images * rows * cols, offset=16)
-    features = pixels.reshape(n_images, rows * cols).astype(np.float64) / 255.0
-    labels = np.frombuffer(lab_buf, dtype=np.uint8, count=n_labels, offset=8).astype(np.int64)
-    return LabeledDataset(features, labels)
+    images = _read_idx(images_path, IMAGE_MAGIC, "pixel")
+    labels = _read_idx(labels_path, LABEL_MAGIC, "label")
+    if len(images) != len(labels):
+        raise IdxFormatError(f"count mismatch: {len(images)} images vs {len(labels)} labels")
+    n_images, rows, cols = images.shape
+    features = images.reshape(n_images, rows * cols).astype(np.float64) / 255.0
+    return LabeledDataset(features, labels.astype(np.int64))
 
 
 def generate_synthetic(num_classes, per_class, input_dim, separation, seed) -> LabeledDataset:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contract, ledger as ledger_mod, node as node_mod
-from .contract import AccuracyMatrix, AggregationError, ContractState, Policy, build_grid
+from .contract import AccuracyMatrix, AggregationError, ContractState, NegotiationGrid, Policy, build_grid
 from .data import (
     LabeledDataset,
     PartitionSpec,
@@ -41,8 +41,6 @@ from .model import MlpArchitecture, TrainingConfig, evaluate, init_params
 from .node import AdditiveNoise, NodeState, SignFlip, derive_seed
 
 _INIT_TAG = 21
-
-CSV_HEADER = "round,node_id,accuracy,alpha,flagged,expelled,train_s,negotiate_s,ledger_s"
 
 
 class ExperimentAbort(RuntimeError):
@@ -79,7 +77,7 @@ class ExperimentConfig:
     arch: MlpArchitecture
     training: TrainingConfig
     rounds: int
-    grid: tuple = (0.5, 0.8, 0.05)
+    grid: NegotiationGrid = build_grid(0.5, 0.8, 0.05)
     policy: Policy = Policy.MAX_MEAN
     attacks: tuple = ()  # ((node_id, AdditiveNoise | SignFlip), ...)
     fixed_alpha: float | None = None
@@ -90,6 +88,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if not isinstance(self.grid, NegotiationGrid):
+            raise ValueError(f"grid must be a NegotiationGrid from contract.build_grid, got {self.grid!r}")
         if self.scheme is Scheme.FIXED_ALPHA:
             if self.fixed_alpha is None:
                 raise ValueError("fixed_alpha scheme needs a fixed_alpha value")
@@ -116,6 +116,23 @@ class RoundMetrics:
     train_s: float
     negotiate_s: float
     ledger_s: float
+
+
+# CSV column, RoundMetrics field, how the writer prints it, how the reader parses it
+_FLOAT = ("{:.6f}".format, float)
+_BOOL = (lambda v: "true" if v else "false", lambda text: text == "true")
+_CSV_COLUMNS = (
+    ("round", "round_no", "{}".format, int),
+    ("node_id", "node_id", "{}".format, int),
+    ("accuracy", "accuracy", *_FLOAT),
+    ("alpha", "alpha", *_FLOAT),
+    ("flagged", "flagged", *_BOOL),
+    ("expelled", "expelled", *_BOOL),
+    ("train_s", "train_s", *_FLOAT),
+    ("negotiate_s", "negotiate_s", *_FLOAT),
+    ("ledger_s", "ledger_s", *_FLOAT),
+)
+CSV_HEADER = ",".join(column for column, _, _, _ in _CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -191,7 +208,6 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
     aggregated = cfg.scheme is not Scheme.LOCAL
     # None: negotiated every round
     fixed_alpha = {Scheme.FEDAVG: 0.0, Scheme.LOCAL: 1.0, Scheme.FIXED_ALPHA: cfg.fixed_alpha}.get(cfg.scheme)
-    grid = build_grid(*cfg.grid)
     by_id = {n.node_id: n for n in nodes}
     metrics = []
 
@@ -246,14 +262,14 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                 if node_id in flagged:
                     continue
                 start = time.perf_counter()
-                accuracies = node_mod.evaluate_candidates(by_id[node_id], cfg.arch, global_weights, grid)
+                accuracies = node_mod.evaluate_candidates(by_id[node_id], cfg.arch, global_weights, cfg.grid)
                 negotiate_s[node_id] = time.perf_counter() - start
                 start = time.perf_counter()
                 book.append(
                     round_no,
                     RecordKind.ACCURACY_LIST,
                     node_id,
-                    ledger_mod.encode_accuracy_list(grid.alphas, accuracies),
+                    ledger_mod.encode_accuracy_list(cfg.grid.alphas, accuracies),
                 )
                 ledger_s[node_id] += time.perf_counter() - start
 
@@ -262,7 +278,7 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                 for rec in book.query_round(round_no, RecordKind.ACCURACY_LIST)
             )
             matrix = AccuracyMatrix(node_ids=[r[0] for r in rows], values=np.array([r[1] for r in rows]))
-            alpha, grid_index = contract.negotiate_alpha(matrix, grid, cfg.policy)
+            alpha, grid_index = contract.negotiate_alpha(matrix, cfg.grid, cfg.policy)
             book.append(
                 round_no,
                 RecordKind.ALPHA_DECISION,
@@ -309,33 +325,16 @@ def write_csv(metrics, path) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
         for m in rows:
-            f.write(
-                f"{m.round_no},{m.node_id},{m.accuracy:.6f},{m.alpha:.6f},"
-                f"{'true' if m.flagged else 'false'},{'true' if m.expelled else 'false'},"
-                f"{m.train_s:.6f},{m.negotiate_s:.6f},{m.ledger_s:.6f}\n"
-            )
+            f.write(",".join(show(getattr(m, field)) for _, field, show, _ in _CSV_COLUMNS) + "\n")
 
 
 def read_metrics_csv(path) -> tuple:
     """Parse a metrics CSV back into RoundMetrics rows."""
-    out = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            out.append(
-                RoundMetrics(
-                    round_no=int(row["round"]),
-                    node_id=int(row["node_id"]),
-                    accuracy=float(row["accuracy"]),
-                    alpha=float(row["alpha"]),
-                    flagged=row["flagged"] == "true",
-                    expelled=row["expelled"] == "true",
-                    train_s=float(row["train_s"]),
-                    negotiate_s=float(row["negotiate_s"]),
-                    ledger_s=float(row["ledger_s"]),
-                )
-            )
-    return tuple(out)
+        return tuple(
+            RoundMetrics(**{field: parse(row[column]) for column, field, _, parse in _CSV_COLUMNS})
+            for row in csv.DictReader(f)
+        )
 
 
 def summarize(metrics, threshold: float | None = None) -> ExperimentSummary:
@@ -366,6 +365,14 @@ def _widths(text: str) -> tuple:
     return tuple(int(h.strip()) for h in text.split(","))
 
 
+# attack kind -> (class, usage, parsers of the fields after the kind, in the
+# order of the class's fields)
+_ATTACK_KINDS = {
+    "noise": (AdditiveNoise, "node:noise:sigma:start", (float, int)),
+    "signflip": (SignFlip, "node:signflip:start", (int,)),
+}
+
+
 def parse_attacks(text: str) -> tuple:
     """'1:noise:10.0:1, 3:signflip:39' -> ((1, AdditiveNoise(10.0, 1)), (3, SignFlip(39)))."""
     specs = []
@@ -376,18 +383,13 @@ def parse_attacks(text: str) -> tuple:
         parts = [p.strip() for p in chunk.strip().split(":")]
         if len(parts) < 3:
             raise ValueError(f"attack spec {chunk!r} needs node:kind[:sigma]:start")
-        node_id = int(parts[0])
-        kind = parts[1].lower()
-        if kind == "noise":
-            if len(parts) != 4:
-                raise ValueError(f"noise attack {chunk!r} needs node:noise:sigma:start")
-            specs.append((node_id, AdditiveNoise(sigma=float(parts[2]), start_round=int(parts[3]))))
-        elif kind == "signflip":
-            if len(parts) != 3:
-                raise ValueError(f"signflip attack {chunk!r} needs node:signflip:start")
-            specs.append((node_id, SignFlip(start_round=int(parts[2]))))
-        else:
+        node_id, kind = int(parts[0]), parts[1].lower()
+        if kind not in _ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {kind!r}")
+        cls, usage, parsers = _ATTACK_KINDS[kind]
+        if len(parts) != 2 + len(parsers):
+            raise ValueError(f"{kind} attack {chunk!r} needs {usage}")
+        specs.append((node_id, cls(*(parse(field) for parse, field in zip(parsers, parts[2:])))))
     return tuple(specs)
 
 
@@ -422,8 +424,6 @@ CONFIG_TABLE = {
     "ledger_out": (None, str, "ledger dump path"),
 }
 
-CONFIG_KEYS = {key: help_text for key, (_, _, help_text) in CONFIG_TABLE.items()}
-
 
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
@@ -436,7 +436,7 @@ def parse_config_file(path) -> dict:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
             key, value = (part.strip() for part in stripped.split("=", 1))
-            if key not in CONFIG_KEYS:
+            if key not in CONFIG_TABLE:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value
     return raw
@@ -483,9 +483,9 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
     else:
         raise ValueError(f"unknown dataset {dataset_kind!r}")
 
-    grid = (get("grid_start"), get("grid_end"), get("grid_step"))
+    grid_bounds = (get("grid_start"), get("grid_end"), get("grid_step"))
     try:
-        build_grid(*grid)
+        grid = build_grid(*grid_bounds)
     except ValueError as exc:
         raise ValueError(f"config keys 'grid_start', 'grid_end', 'grid_step': {exc}") from exc
 

@@ -348,5 +348,10 @@ def encode_node_set(node_ids) -> bytes:
 
 
 def decode_node_set(payload: bytes):
+    """The ids, which must be strictly ascending: a set has one encoding."""
     count = _count(payload, 8, "node set")
-    return struct.unpack(f"<Q{count}Q", payload)[1:]
+    ids = struct.unpack(f"<Q{count}Q", payload)[1:]
+    for prev, node_id in zip(ids, ids[1:]):
+        if node_id <= prev:
+            raise LedgerFormatError(f"node set ids not strictly ascending: {node_id} after {prev}")
+    return ids

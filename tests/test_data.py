@@ -65,15 +65,40 @@ class TestIdxLoader:
         assert np.allclose(ds.features, images.reshape(7, 12) / 255.0)
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
 
+    def test_zero_images_load_as_an_empty_dataset(self, tmp_path):
+        ds = load_mnist_idx(*write_idx_pair(tmp_path, np.zeros((0, 4, 3), np.uint8), []))
+        assert len(ds) == 0
+        assert ds.features.shape == (0, 12) and ds.features.dtype == np.float64
+        assert ds.labels.shape == (0,) and ds.labels.dtype == np.int64
+
     def test_wrong_image_magic(self, tmp_path):
         paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1], image_magic=LABEL_MAGIC)
-        with pytest.raises(IdxFormatError, match="wrong magic"):
+        with pytest.raises(IdxFormatError) as exc:
             load_mnist_idx(*paths)
+        assert str(exc.value) == f"{paths[0]}: wrong magic: expected 0x00000803, got 0x00000801"
 
     def test_wrong_label_magic(self, tmp_path):
         paths = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1], label_magic=0xBAD)
-        with pytest.raises(IdxFormatError, match="wrong magic"):
+        with pytest.raises(IdxFormatError) as exc:
             load_mnist_idx(*paths)
+        assert str(exc.value) == f"{paths[1]}: wrong magic: expected 0x00000801, got 0x00000bad"
+
+    @pytest.mark.parametrize("which, what", [(0, "pixel"), (1, "label")], ids=["images", "labels"])
+    def test_faults_name_the_file_and_the_cause(self, tmp_path, which, what):
+        paths = write_idx_pair(tmp_path, np.zeros((5, 2, 2), np.uint8), [0, 1, 2, 3, 4])
+        path = paths[which]
+        blob = path.read_bytes()
+        for damaged, message in (
+            (blob[:3], "truncated header"),
+            (blob[:6], "truncated header"),
+            (blob[: 4 * (4 - 2 * which) - 1], "truncated header"),
+            (blob[:-3], f"truncated {what} data ({len(blob) - 3} bytes, need {len(blob)})"),
+            (blob + b"\x00", f"trailing bytes after {what} data"),
+        ):
+            path.write_bytes(damaged)
+            with pytest.raises(IdxFormatError) as exc:
+                load_mnist_idx(*paths)
+            assert str(exc.value) == f"{path}: {message}"
 
     def test_truncated_pixels(self, tmp_path):
         images_path, labels_path = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
@@ -85,8 +110,9 @@ class TestIdxLoader:
     def test_count_mismatch(self, tmp_path):
         images_path, _ = write_idx_pair(tmp_path, np.zeros((3, 2, 2), np.uint8), [0, 1, 2])
         _, labels_path = write_idx_pair(tmp_path / "..", np.zeros((2, 2, 2), np.uint8), [0, 1])
-        with pytest.raises(IdxFormatError, match="count mismatch"):
+        with pytest.raises(IdxFormatError) as exc:
             load_mnist_idx(images_path, labels_path)
+        assert str(exc.value) == "count mismatch: 3 images vs 2 labels"
 
     @pytest.mark.skipif(
         not (

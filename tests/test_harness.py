@@ -1,10 +1,11 @@
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
 
-from scei.contract import ContractState, Policy
+from scei.contract import ContractState, NegotiationGrid, Policy, build_grid
 from scei.data import LabeledDataset, NodeDataSplit, PartitionSpec
 from scei.harness import (
     ExperimentAbort,
@@ -320,6 +321,29 @@ class TestCsv:
             assert a.round_no == b.round_no
             assert abs(a.mean_accuracy - b.mean_accuracy) < 1e-6
 
+    def test_exact_bytes_and_values_read_back(self, tmp_path):
+        rows = [
+            RoundMetrics(1, 0, np.float64(0.8125), 0.65, True, False, 1e-9, 123456.5, 0.0),
+            RoundMetrics(3, 2, 0.0, 1.0, True, True, 0.25, 2.5e-7, 3.0000004),
+            RoundMetrics(12, 9, np.float64(2 / 3), 0.5, False, True, 0.1, 1.0, 1e-6),
+        ]
+        path = tmp_path / "metrics.csv"
+        write_csv(rows, path)
+        assert path.read_bytes() == (
+            b"round,node_id,accuracy,alpha,flagged,expelled,train_s,negotiate_s,ledger_s\n"
+            b"1,0,0.812500,0.650000,true,false,0.000000,123456.500000,0.000000\n"
+            b"3,2,0.000000,1.000000,true,true,0.250000,0.000000,3.000000\n"
+            b"12,9,0.666667,0.500000,false,true,0.100000,1.000000,0.000001\n"
+        )
+        parsed = read_metrics_csv(path)
+        assert parsed == (
+            RoundMetrics(1, 0, 0.8125, 0.65, True, False, 0.0, 123456.5, 0.0),
+            RoundMetrics(3, 2, 0.0, 1.0, True, True, 0.25, 0.0, 3.0),
+            RoundMetrics(12, 9, 0.666667, 0.5, False, True, 0.1, 1.0, 1e-6),
+        )
+        for m in parsed:
+            assert [type(v) for v in vars(m).values()] == [int, int, float, float, bool, bool, float, float, float]
+
     def test_empty_metrics_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], tmp_path / "x.csv")
@@ -419,6 +443,13 @@ attacks = 1:noise:10.0:1, 3:signflip:2
         assert cfg.rounds == 5
         assert cfg.seed == 9
 
+    def test_grid_is_built_once_from_its_keys(self):
+        assert small_config(Scheme.SCEI).grid == build_grid(0.5, 0.8, 0.05)
+        grid = build_config({"grid_start": "0.25", "grid_end": "0.75", "grid_step": "0.25"}).grid
+        assert isinstance(grid, NegotiationGrid) and grid.alphas == (0.25, 0.5, 0.75)
+        with pytest.raises(ValueError, match="^config key 'grid_step': could not convert"):
+            build_config({"grid_step": "wide"})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("bogus = 1\n")
@@ -426,10 +457,22 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             parse_config_file(path)
 
     def test_attack_spec_errors(self):
-        with pytest.raises(ValueError):
-            parse_attacks("1:noise:1")  # missing start round
-        with pytest.raises(ValueError):
-            parse_attacks("1:what:2")
+        for text, message in (
+            ("1:noise:1", "noise attack '1:noise:1' needs node:noise:sigma:start"),
+            ("2:NOISE:1", "noise attack '2:NOISE:1' needs node:noise:sigma:start"),
+            ("1:what:2", "unknown attack kind 'what'"),
+            ("1", "attack spec '1' needs node:kind[:sigma]:start"),
+            ("1:noise", "attack spec '1:noise' needs node:kind[:sigma]:start"),
+            ("0:noise:1:1, 3:SIGNFLIP", "attack spec ' 3:SIGNFLIP' needs node:kind[:sigma]:start"),
+            ("1:signflip:1:2", "signflip attack '1:signflip:1:2' needs node:signflip:start"),
+            (",", "attack spec '' needs node:kind[:sigma]:start"),
+            ("x:what:2", "invalid literal for int() with base 10: 'x'"),
+            ("1:noise:s:2", "could not convert string to float: 's'"),
+            ("1:noise:-1:2", "sigma must be positive"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                parse_attacks(text)
+            assert str(exc.value) == message, text
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -442,6 +485,10 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             small_config(Scheme.SCEI, rounds=0)
         with pytest.raises(ValueError, match="^node 1 has more than one attack$"):
             build_config({"attacks": "1:noise:10.0:1, 1:signflip:3"})
+        # a config holds a built grid; anything else is refused at construction,
+        # so before any data is generated
+        with pytest.raises(ValueError, match=r"^grid must be a NegotiationGrid from contract\.build_grid, got \(0\.5, 0\.8, nan\)$"):
+            small_config(Scheme.SCEI, grid=(0.5, 0.8, math.nan))
         # a grid that cannot be built is refused with its keys, before any round runs
         for key in ("grid_start", "grid_end", "grid_step"):
             for value in ("nan", "inf"):

@@ -424,6 +424,13 @@ class TestPayloadCodecs:
     def test_node_set_round_trip_sorted(self):
         assert decode_node_set(encode_node_set({5, 1, 9})) == (1, 5, 9)
         assert decode_node_set(encode_node_set([])) == ()
+        assert decode_node_set(encode_node_set([7])) == (7,)
+        assert decode_node_set(encode_node_set({2**64 - 1, 0, 3})) == (0, 3, 2**64 - 1)
+
+    @pytest.mark.parametrize("ids, cause", [((5, 5), "5 after 5"), ((5, 3), "3 after 5"), ((1, 4, 2), "2 after 4")])
+    def test_node_set_ids_must_be_strictly_ascending(self, ids, cause):
+        with pytest.raises(LedgerFormatError, match=f"^node set ids not strictly ascending: {cause}$"):
+            decode_node_set(struct.pack(f"<Q{len(ids)}Q", len(ids), *ids))
 
     @pytest.mark.parametrize(
         "values",
