@@ -20,7 +20,7 @@ from scei import (
     summarize,
 )
 from scei.harness import ExperimentConfig
-from scei.model import MlpArchitecture, TrainingConfig
+from scei.model import TrainingConfig
 
 grid = build_grid(0.5, 0.8, 0.05)
 print(f"negotiation grid: {[round(a, 2) for a in grid.alphas]}")
@@ -43,7 +43,7 @@ cfg = ExperimentConfig(
     scheme=Scheme.SCEI,
     dataset=SyntheticSource(num_classes=10, per_class=1500, input_dim=20, separation=4.0),
     partition=PartitionSpec(num_nodes=10, samples_per_node=600, labels_per_node=4, rng_seed=7),
-    arch=MlpArchitecture(20, (32, 32), 10),
+    hidden=(32, 32),
     training=TrainingConfig(batch_size=10, local_epochs=5, learning_rate=0.01, rng_seed=7),
     rounds=10,
     seed=7,

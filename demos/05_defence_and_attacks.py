@@ -9,7 +9,7 @@ averaging, where there is no defence at all.
 from scei import AdditiveNoise, PartitionSpec, Scheme, SyntheticSource, run_experiment
 from scei.harness import ExperimentConfig
 from scei.ledger import RecordKind, decode_node_set
-from scei.model import MlpArchitecture, TrainingConfig
+from scei.model import TrainingConfig
 
 ATTACKS = (
     (1, AdditiveNoise(sigma=10.0, start_round=1)),
@@ -23,7 +23,7 @@ def config(scheme, attacks):
         scheme=scheme,
         dataset=SyntheticSource(num_classes=10, per_class=1500, input_dim=20, separation=4.0),
         partition=PartitionSpec(num_nodes=10, samples_per_node=600, labels_per_node=4, rng_seed=3),
-        arch=MlpArchitecture(20, (32, 32), 10),
+        hidden=(32, 32),
         training=TrainingConfig(batch_size=10, local_epochs=5, learning_rate=0.01, rng_seed=3),
         rounds=30,
         seed=3,

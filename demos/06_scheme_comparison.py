@@ -6,7 +6,7 @@ prints the mean-accuracy trajectories for a quick comparison.
 
 from scei import PartitionSpec, Scheme, SyntheticSource, run_experiment, summarize, write_csv
 from scei.harness import ExperimentConfig
-from scei.model import MlpArchitecture, TrainingConfig
+from scei.model import TrainingConfig
 
 SEED = 11
 
@@ -16,7 +16,7 @@ def config(scheme, fixed_alpha=None):
         scheme=scheme,
         dataset=SyntheticSource(num_classes=10, per_class=1500, input_dim=20, separation=4.0),
         partition=PartitionSpec(num_nodes=10, samples_per_node=600, labels_per_node=4, rng_seed=SEED),
-        arch=MlpArchitecture(20, (32, 32), 10),
+        hidden=(32, 32),
         training=TrainingConfig(batch_size=10, local_epochs=5, learning_rate=0.01, rng_seed=SEED),
         rounds=15,
         seed=SEED,

@@ -80,6 +80,10 @@ class LabeledDataset:
         return LabeledDataset(self.features[idx], self.labels[idx])
 
 
+def _train_count(n: int) -> int:
+    return int(round(TRAIN_FRACTION * n))
+
+
 @dataclass(frozen=True)
 class PartitionSpec:
     """Parameters of the label-sorted non-iid partition."""
@@ -95,8 +99,8 @@ class PartitionSpec:
             raise ValueError("num_nodes must be >= 1")
         if self.labels_per_node < 1:
             raise ValueError("labels_per_node must be >= 1")
-        if self.samples_per_node < 1:
-            raise ValueError("samples_per_node must be >= 1")
+        if _train_count(self.samples_per_node) >= self.samples_per_node:
+            raise ValueError(f"samples_per_node {self.samples_per_node} leaves no test example")
         if self.samples_per_node % self.labels_per_node != 0:
             raise ValueError(
                 "samples_per_node must be divisible by labels_per_node "
@@ -162,6 +166,14 @@ def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(features, labels.astype(np.int64))
 
 
+def check_synthetic(num_classes, per_class, input_dim, separation) -> None:
+    """Refuse generator settings that cannot give a dataset."""
+    if num_classes < 1 or per_class < 1 or input_dim < 1:
+        raise ValueError("num_classes, per_class and input_dim must all be >= 1")
+    if not 0 <= separation < math.inf:
+        raise ValueError(f"separation must be finite and non-negative, got {separation}")
+
+
 def generate_synthetic(num_classes, per_class, input_dim, separation, seed) -> LabeledDataset:
     """Isotropic Gaussian blobs: class c is N(center_c, I) with center_c a seeded
     random unit direction scaled by `separation`.
@@ -169,10 +181,7 @@ def generate_synthetic(num_classes, per_class, input_dim, separation, seed) -> L
     separation 0 collapses all class centers onto the origin, which makes the
     classes statistically indistinguishable.
     """
-    if num_classes < 1 or per_class < 1 or input_dim < 1:
-        raise ValueError("num_classes, per_class and input_dim must all be >= 1")
-    if not 0 <= separation < math.inf:
-        raise ValueError(f"separation must be finite and non-negative, got {separation}")
+    check_synthetic(num_classes, per_class, input_dim, separation)
     rng = np.random.default_rng([seed, _SYNTH_TAG])
     centers = np.empty((num_classes, input_dim))
     for c in range(num_classes):
@@ -229,7 +238,7 @@ def partition_non_iid(ds: LabeledDataset, spec: PartitionSpec) -> list:
             cursors[c] = start + per_label
         base = np.concatenate(base_parts)
         order = rng.permutation(len(base))
-        n_train = int(round(TRAIN_FRACTION * len(base)))
+        n_train = _train_count(len(base))
         train_idx = base[order[:n_train]]
         test_idx = base[order[n_train:]]
         splits.append(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .contract import AccuracyMatrix, AggregationError, ContractState, Negotiati
 from .data import (
     LabeledDataset,
     PartitionSpec,
+    check_synthetic,
     generate_synthetic,
     inject_skew,
     load_mnist_idx,
@@ -62,11 +63,20 @@ class SyntheticSource:
     input_dim: int
     separation: float
 
+    def __post_init__(self):
+        check_synthetic(self.num_classes, self.per_class, self.input_dim, self.separation)
+
 
 @dataclass(frozen=True)
 class MnistSource:
     images_path: str
     labels_path: str
+    input_dim = 784
+    num_classes = 10
+
+    def __post_init__(self):
+        if not self.images_path or not self.labels_path:
+            raise ValueError("mnist dataset needs an images path and a labels path")
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,7 @@ class ExperimentConfig:
     scheme: Scheme
     dataset: SyntheticSource | MnistSource
     partition: PartitionSpec
-    arch: MlpArchitecture
+    hidden: tuple
     training: TrainingConfig
     rounds: int
     grid: NegotiationGrid = build_grid(0.5, 0.8, 0.05)
@@ -84,8 +94,14 @@ class ExperimentConfig:
     seed: int = 0
     output_path: str | None = None
     ledger_path: str | None = None
+    # the model: the dataset's widths around the hidden ones
+    arch: MlpArchitecture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        arch = MlpArchitecture(self.dataset.input_dim, self.hidden, self.dataset.num_classes)
+        object.__setattr__(self, "arch", arch)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not isinstance(self.grid, NegotiationGrid):
@@ -325,14 +341,14 @@ def write_csv(metrics, path) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
         for m in rows:
-            f.write(",".join(show(getattr(m, field)) for _, field, show, _ in _CSV_COLUMNS) + "\n")
+            f.write(",".join(show(getattr(m, attr)) for _, attr, show, _ in _CSV_COLUMNS) + "\n")
 
 
 def read_metrics_csv(path) -> tuple:
     """Parse a metrics CSV back into RoundMetrics rows."""
     with open(path, newline="") as f:
         return tuple(
-            RoundMetrics(**{field: parse(row[column]) for column, field, _, parse in _CSV_COLUMNS})
+            RoundMetrics(**{attr: parse(row[column]) for column, attr, _, parse in _CSV_COLUMNS})
             for row in csv.DictReader(f)
         )
 
@@ -389,39 +405,56 @@ def parse_attacks(text: str) -> tuple:
         cls, usage, parsers = _ATTACK_KINDS[kind]
         if len(parts) != 2 + len(parsers):
             raise ValueError(f"{kind} attack {chunk!r} needs {usage}")
-        specs.append((node_id, cls(*(parse(field) for parse, field in zip(parsers, parts[2:])))))
+        try:
+            specs.append((node_id, cls(*(parse(value) for parse, value in zip(parsers, parts[2:])))))
+        except ValueError as exc:
+            raise ValueError(f"{kind} attack {chunk!r}: {exc}") from exc
     return tuple(specs)
 
 
-# key -> (default as written in a config file, parse, help); a key with a
-# None default is absent unless given
+# dataset kind -> (source class, the config key of each of its fields)
+_SOURCES = {
+    "synthetic": (SyntheticSource, dict(num_classes="synthetic_classes", per_class="synthetic_per_class",
+                                        input_dim="synthetic_input_dim", separation="synthetic_separation")),
+    "mnist": (MnistSource, dict(images_path="mnist_images", labels_path="mnist_labels")),
+}
+
+
+def _dataset_kind(text: str) -> str:
+    if text.lower() not in _SOURCES:
+        raise ValueError(f"unknown dataset {text.lower()!r}")
+    return text.lower()
+
+
+# key -> (default as written in a config file, parse); a key with a None
+# default is absent unless given
 CONFIG_TABLE = {
-    "scheme": ("scei", lambda v: Scheme(v.lower()), "scei | fedavg | local | fixed_alpha"),
-    "fixed_alpha": (None, float, "alpha in [0,1]; required when scheme = fixed_alpha"),
-    "dataset": ("synthetic", str.lower, "synthetic | mnist"),
-    "synthetic_classes": ("10", int, "class count for the synthetic generator"),
-    "synthetic_per_class": ("1500", int, "examples per class"),
-    "synthetic_input_dim": ("20", int, "feature dimension"),
-    "synthetic_separation": ("4.0", float, "class-center distance from origin"),
-    "mnist_images": (None, str, "path to an IDX image file"),
-    "mnist_labels": (None, str, "path to an IDX label file"),
-    "nodes": ("10", int, "number of training nodes"),
-    "samples_per_node": ("600", int, "base examples per node"),
-    "labels_per_node": ("4", int, "distinct labels per node"),
-    "skew_ratio": ("0", float, "fraction of out-of-distribution test data in [0, 0.25)"),
-    "hidden": ("200,200", _widths, "two comma-separated hidden-layer widths"),
-    "rounds": ("50", int, "federated rounds"),
-    "batch_size": ("10", int, "minibatch size"),
-    "local_epochs": ("5", int, "local epochs per round"),
-    "learning_rate": ("0.01", float, "SGD step size"),
-    "grid_start": ("0.5", float, "first candidate alpha"),
-    "grid_end": ("0.8", float, "last candidate alpha"),
-    "grid_step": ("0.05", float, "candidate spacing"),
-    "policy": ("max_mean", lambda v: Policy(v.lower()), "max_mean | min_variance"),
-    "attacks": ("", parse_attacks, "comma-separated node:kind[:sigma]:start, kind in {noise, signflip}"),
-    "seed": ("0", int, "master seed"),
-    "out": (None, str, "metrics CSV path"),
-    "ledger_out": (None, str, "ledger dump path"),
+    "scheme": ("scei", lambda v: Scheme(v.lower())),
+    "fixed_alpha": (None, float),
+    "dataset": ("synthetic", _dataset_kind),
+    "synthetic_classes": ("10", int),
+    "synthetic_per_class": ("1500", int),
+    "synthetic_input_dim": ("20", int),
+    "synthetic_separation": ("4.0", float),
+    "mnist_images": (None, str),
+    "mnist_labels": (None, str),
+    "nodes": ("10", int),
+    "samples_per_node": ("600", int),
+    "labels_per_node": ("4", int),
+    "skew_ratio": ("0", float),
+    "hidden": ("200,200", _widths),
+    "rounds": ("50", int),
+    "batch_size": ("10", int),
+    "local_epochs": ("5", int),
+    "learning_rate": ("0.01", float),
+    "grid_start": ("0.5", float),
+    "grid_end": ("0.8", float),
+    "grid_step": ("0.05", float),
+    "policy": ("max_mean", lambda v: Policy(v.lower())),
+    "attacks": ("", parse_attacks),
+    "seed": ("0", int),
+    "out": (None, str),
+    "ledger_out": (None, str),
 }
 
 
@@ -447,7 +480,8 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
 
     Overrides (scheme, rounds, seed, out, ledger_out) mirror the CLI flags and
     win over file values when not None. A value that does not parse raises
-    ValueError naming its key.
+    ValueError naming its key; a value that a part of the config refuses
+    raises it naming the keys that feed that part.
     """
     merged = dict(raw)
     for key, value in overrides.items():
@@ -455,7 +489,7 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
             merged[key] = str(value)
 
     def get(key):
-        default, parse, _ = CONFIG_TABLE[key]
+        default, parse = CONFIG_TABLE[key]
         text = merged.get(key, default)
         if text is None:
             return None
@@ -464,54 +498,26 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from exc
 
-    seed = get("seed")
-    dataset_kind = get("dataset")
-    if dataset_kind == "synthetic":
-        dataset = SyntheticSource(
-            num_classes=get("synthetic_classes"),
-            per_class=get("synthetic_per_class"),
-            input_dim=get("synthetic_input_dim"),
-            separation=get("synthetic_separation"),
-        )
-        input_dim, num_classes = dataset.input_dim, dataset.num_classes
-    elif dataset_kind == "mnist":
-        images, labels = get("mnist_images"), get("mnist_labels")
-        if not images or not labels:
-            raise ValueError("mnist dataset needs mnist_images and mnist_labels paths")
-        dataset = MnistSource(images_path=images, labels_path=labels)
-        input_dim, num_classes = 784, 10
-    else:
-        raise ValueError(f"unknown dataset {dataset_kind!r}")
+    def part(build, keys: dict, **built):
+        """build(**built), each field in keys set to its key's parsed value."""
+        values = {name: get(key) for name, key in keys.items()}
+        try:
+            return build(**built, **values)
+        except ValueError as exc:
+            raise ValueError(f"config keys {', '.join(map(repr, keys.values()))}: {exc}") from exc
 
-    grid_bounds = (get("grid_start"), get("grid_end"), get("grid_step"))
-    try:
-        grid = build_grid(*grid_bounds)
-    except ValueError as exc:
-        raise ValueError(f"config keys 'grid_start', 'grid_end', 'grid_step': {exc}") from exc
-
-    return ExperimentConfig(
-        scheme=get("scheme"),
-        dataset=dataset,
-        partition=PartitionSpec(
-            num_nodes=get("nodes"),
-            samples_per_node=get("samples_per_node"),
-            labels_per_node=get("labels_per_node"),
-            skew_ratio=get("skew_ratio"),
-            rng_seed=seed,
-        ),
-        arch=MlpArchitecture(input_dim=input_dim, hidden_dims=get("hidden"), output_dim=num_classes),
-        training=TrainingConfig(
-            batch_size=get("batch_size"),
-            local_epochs=get("local_epochs"),
-            learning_rate=get("learning_rate"),
-            rng_seed=seed,
-        ),
-        rounds=get("rounds"),
-        grid=grid,
+    return part(
+        ExperimentConfig,
+        dict(scheme="scheme", fixed_alpha="fixed_alpha", hidden="hidden", rounds="rounds",
+             attacks="attacks", seed="seed"),
+        dataset=part(*_SOURCES[get("dataset")]),
+        partition=part(PartitionSpec, dict(num_nodes="nodes", samples_per_node="samples_per_node",
+                                           labels_per_node="labels_per_node", skew_ratio="skew_ratio",
+                                           rng_seed="seed")),
+        training=part(TrainingConfig, dict(batch_size="batch_size", local_epochs="local_epochs",
+                                           learning_rate="learning_rate", rng_seed="seed")),
+        grid=part(build_grid, dict(start="grid_start", end="grid_end", step="grid_step")),
         policy=get("policy"),
-        attacks=get("attacks"),
-        fixed_alpha=get("fixed_alpha"),
-        seed=seed,
         output_path=get("out"),
         ledger_path=get("ledger_out"),
     )

@@ -30,12 +30,11 @@ class MlpArchitecture:
 
     def __post_init__(self):
         hidden = tuple(int(h) for h in self.hidden_dims)
-        if len(hidden) != 2:
-            raise ValueError(f"hidden_dims must have exactly two entries, got {hidden}")
+        if len(hidden) != 2 or min(hidden) < 1:
+            raise ValueError(f"hidden widths must be two integers >= 1, got {hidden}")
         object.__setattr__(self, "hidden_dims", hidden)
-        for dim in (self.input_dim, *hidden, self.output_dim):
-            if dim < 1:
-                raise ValueError(f"all layer dims must be >= 1, got {dim}")
+        if min(self.input_dim, self.output_dim) < 1:
+            raise ValueError(f"input and output widths must be >= 1, got {self.input_dim}, {self.output_dim}")
 
     @property
     def layer_dims(self) -> tuple:

@@ -31,20 +31,29 @@ def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
+class _Attack:
+    """An attack acts on uploads from round start_round (>= 1) onward."""
+
+    def __post_init__(self):
+        if self.start_round < 1:
+            raise ValueError(f"start_round must be >= 1, got {self.start_round}")
+
+
 @dataclass(frozen=True)
-class AdditiveNoise:
+class AdditiveNoise(_Attack):
     """Upload corrupted with i.i.d. Gaussian noise from start_round onward."""
 
     sigma: float
     start_round: int
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class SignFlip:
+class SignFlip(_Attack):
     """Upload negated elementwise from start_round onward."""
 
     start_round: int

@@ -79,7 +79,7 @@ def synth_config(scheme, seed, *, rounds=20, skew=0.0, attacks=(), fixed_alpha=N
             skew_ratio=skew,
             rng_seed=seed,
         ),
-        arch=MlpArchitecture(20, hidden, 10),
+        hidden=hidden,
         training=TrainingConfig(batch_size=10, local_epochs=5, learning_rate=0.01, rng_seed=seed),
         rounds=rounds,
         policy=Policy.MAX_MEAN,
@@ -502,7 +502,7 @@ def test_criterion_11_mnist_smoke():
         partition=PartitionSpec(
             num_nodes=10, samples_per_node=600, labels_per_node=4, rng_seed=SEEDS[0]
         ),
-        arch=MlpArchitecture(784, (200, 200), 10),
+        hidden=(200, 200),
         training=TrainingConfig(batch_size=10, local_epochs=5, learning_rate=0.01, rng_seed=SEEDS[0]),
         rounds=10,
         policy=Policy.MAX_MEAN,

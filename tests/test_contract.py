@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scei.contract import (
+    MAX_GRID_CANDIDATES,
     AccuracyMatrix,
     AggregationError,
     ContractState,
@@ -224,6 +225,15 @@ class TestBuildGrid:
             build_grid(0.0, 1.0, 0.0)
         for step in (math.nan, math.inf, -math.inf, -0.05):
             with pytest.raises(ValueError, match=rf"^step must be finite and positive, got {step}$"):
+                build_grid(0.5, 0.8, step)
+
+    def test_length_capped_before_building(self):
+        """The finest full-range grid the cap allows builds; a finer step is
+        refused before any candidate is built (1e-7 would build 3,000,001,
+        1e-300 about 3e299, and 5e-324 overflows the count to inf)."""
+        assert len(build_grid(0.0, 1.0, 0.01)) == MAX_GRID_CANDIDATES == 101
+        for step in (1e-7, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match=rf"^step {step} gives more than 101 candidates$"):
                 build_grid(0.5, 0.8, step)
 
     def test_grid_validation(self):

@@ -169,6 +169,16 @@ class TestGenerateSynthetic:
 
 
 class TestPartitionNonIid:
+    def test_every_node_keeps_a_test_example(self):
+        """Blocks of 1 or 2 examples go wholly to training, so such a spec is
+        refused; 3 is the smallest block the 80/20 split leaves a test example."""
+        for n in (-1, 0, 1, 2):
+            with pytest.raises(ValueError, match=rf"^samples_per_node {n} leaves no test example$"):
+                PartitionSpec(num_nodes=1, samples_per_node=n, labels_per_node=1)
+        ds = generate_synthetic(1, 3, 2, 1.0, 0)
+        [split] = partition_non_iid(ds, PartitionSpec(num_nodes=1, samples_per_node=3, labels_per_node=1))
+        assert (len(split.train), len(split.test)) == (2, 1)
+
     def test_paper_shape_counts(self):
         # 10 nodes x 600 samples, 4 labels each: 150 per assigned label before splitting
         ds = generate_synthetic(10, 1500, 6, 4.0, 1)

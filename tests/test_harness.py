@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -7,9 +8,12 @@ import pytest
 
 from scei.contract import ContractState, NegotiationGrid, Policy, build_grid
 from scei.data import LabeledDataset, NodeDataSplit, PartitionSpec
+import scei.harness as harness
 from scei.harness import (
+    CONFIG_TABLE,
     ExperimentAbort,
     ExperimentConfig,
+    MnistSource,
     RoundMetrics,
     Scheme,
     SyntheticSource,
@@ -36,7 +40,7 @@ def small_config(scheme, seed=1, rounds=3, fixed_alpha=None, attacks=(), num_nod
         partition=PartitionSpec(
             num_nodes=num_nodes, samples_per_node=120, labels_per_node=3, rng_seed=seed
         ),
-        arch=MlpArchitecture(8, (12, 12), 6),
+        hidden=(12, 12),
         training=TrainingConfig(batch_size=8, local_epochs=1, learning_rate=0.05, rng_seed=seed),
         rounds=rounds,
         fixed_alpha=fixed_alpha,
@@ -143,18 +147,17 @@ def _identical_nodes(arch, weights, n=2):
 
 class TestSymmetry:
     def test_identical_nodes_tie_break_to_smallest_alpha(self):
-        arch = MlpArchitecture(6, (8, 8), 3)
         cfg = ExperimentConfig(
             scheme=Scheme.SCEI,
             dataset=SyntheticSource(3, 50, 6, 3.0),
             partition=PartitionSpec(num_nodes=2, samples_per_node=20, labels_per_node=2, rng_seed=0),
-            arch=arch,
+            hidden=(8, 8),
             training=TrainingConfig(batch_size=10, local_epochs=1, learning_rate=0.05, rng_seed=0),
             rounds=2,
             seed=0,
         )
-        weights = init_params(arch, 0)
-        nodes = _identical_nodes(arch, weights)
+        weights = init_params(cfg.arch, 0)
+        nodes = _identical_nodes(cfg.arch, weights)
         book = Ledger()
         book.append(0, RecordKind.GLOBAL_WEIGHTS, None, encode_params(weights))
         state = ContractState.fresh([0, 1])
@@ -467,8 +470,12 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             ("1:signflip:1:2", "signflip attack '1:signflip:1:2' needs node:signflip:start"),
             (",", "attack spec '' needs node:kind[:sigma]:start"),
             ("x:what:2", "invalid literal for int() with base 10: 'x'"),
-            ("1:noise:s:2", "could not convert string to float: 's'"),
-            ("1:noise:-1:2", "sigma must be positive"),
+            ("1:noise:s:2", "noise attack '1:noise:s:2': could not convert string to float: 's'"),
+            ("1:noise:-1:2", "noise attack '1:noise:-1:2': sigma must be finite and positive, got -1.0"),
+            ("0:noise:nan:1", "noise attack '0:noise:nan:1': sigma must be finite and positive, got nan"),
+            ("0:noise:inf:1", "noise attack '0:noise:inf:1': sigma must be finite and positive, got inf"),
+            ("0:signflip:0", "signflip attack '0:signflip:0': start_round must be >= 1, got 0"),
+            ("0:noise:1:-5", "noise attack '0:noise:1:-5': start_round must be >= 1, got -5"),
         ):
             with pytest.raises(ValueError) as exc:
                 parse_attacks(text)
@@ -483,7 +490,7 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             small_config(Scheme.SCEI, attacks=((9, SignFlip(1)),))  # node id out of range
         with pytest.raises(ValueError):
             small_config(Scheme.SCEI, rounds=0)
-        with pytest.raises(ValueError, match="^node 1 has more than one attack$"):
+        with pytest.raises(ValueError, match=r"^config keys .*'attacks'.*: node 1 has more than one attack$"):
             build_config({"attacks": "1:noise:10.0:1, 1:signflip:3"})
         # a config holds a built grid; anything else is refused at construction,
         # so before any data is generated
@@ -495,6 +502,40 @@ attacks = 1:noise:10.0:1, 3:signflip:2
                 with pytest.raises(ValueError, match=rf"^config keys 'grid_start', 'grid_end', 'grid_step': .*{value}"):
                     build_config({key: value})
 
+    def test_model_widths_come_from_the_dataset(self):
+        assert small_config(Scheme.SCEI).arch == MlpArchitecture(8, (12, 12), 6)
+        mnist = small_config(Scheme.SCEI, dataset=MnistSource("images", "labels"), hidden=(200, 200))
+        assert mnist.arch == MlpArchitecture(784, (200, 200), 10)
+        assert build_config({"synthetic_classes": "7", "synthetic_input_dim": "5", "hidden": "3,4"}).arch == (
+            MlpArchitecture(5, (3, 4), 7)
+        )
+        for hidden in ((0, 4), (4,), (4, 4, 4)):
+            with pytest.raises(ValueError, match=r"^hidden widths must be two integers >= 1, got \("):
+                small_config(Scheme.SCEI, hidden=hidden)
+        with pytest.raises(TypeError, match="arch"):
+            small_config(Scheme.SCEI, arch=MlpArchitecture(8, (12, 12), 9))
+
+    def test_refusals_name_the_keys_of_their_part(self):
+        for raw, message in (
+            ({"nodes": "0"}, "config keys 'nodes', 'samples_per_node', 'labels_per_node', 'skew_ratio', 'seed': "
+                             "num_nodes must be >= 1"),
+            ({"hidden": "0,4"}, "config keys 'scheme', 'fixed_alpha', 'hidden', 'rounds', 'attacks', 'seed': "
+                                "hidden widths must be two integers >= 1, got (0, 4)"),
+            ({"seed": "-1"}, "config keys 'scheme', 'fixed_alpha', 'hidden', 'rounds', 'attacks', 'seed': "
+                             "seed must be >= 0, got -1"),
+            ({"grid_step": "1e-300"}, "config keys 'grid_start', 'grid_end', 'grid_step': "
+                                      "step 1e-300 gives more than 101 candidates"),
+            ({"synthetic_per_class": "0"}, "config keys 'synthetic_classes', 'synthetic_per_class', "
+                                           "'synthetic_input_dim', 'synthetic_separation': "
+                                           "num_classes, per_class and input_dim must all be >= 1"),
+            ({"dataset": "mnist"}, "config keys 'mnist_images', 'mnist_labels': "
+                                   "mnist dataset needs an images path and a labels path"),
+            ({"dataset": "Tabular"}, "config key 'dataset': unknown dataset 'tabular'"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build_config(raw)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["learning_rate", "synthetic_separation"])
     def test_non_finite_rates_rejected_naming_the_value(self, key, value):
@@ -503,3 +544,48 @@ attacks = 1:noise:10.0:1, 3:signflip:2
         raw = {"synthetic_per_class": "40", "samples_per_node": "20", "hidden": "4,4", "rounds": "1"}
         with pytest.raises(ValueError, match=rf"must be finite and non-negative, got {value}$"):
             run_experiment(build_config(dict(raw, **{key: value})))
+
+
+# every config key meets these values, on a config small enough to run a round
+EDGE_VALUES = ("0", "-1", "nan", "inf")
+EDGE_EXTRAS = {
+    "samples_per_node": ("1", "2"),
+    "hidden": ("0,4", "4", "4,4,4"),
+    "grid_step": ("1e-7", "1e-300"),
+    "attacks": ("0:noise:nan:1", "0:noise:inf:1", "0:signflip:0", "0:noise:1:-5"),
+}
+EDGE_BASE = {
+    "synthetic_classes": "6",
+    "synthetic_per_class": "40",
+    "synthetic_input_dim": "4",
+    "nodes": "3",
+    "samples_per_node": "20",
+    "labels_per_node": "2",
+    "hidden": "4,4",
+    "rounds": "1",
+    "local_epochs": "1",
+}
+EDGE_CASES = [
+    (key, {key: value}) for key in CONFIG_TABLE for value in EDGE_VALUES + EDGE_EXTRAS.get(key, ())
+] + [("fixed_alpha", {"scheme": "fixed_alpha", "fixed_alpha": value}) for value in EDGE_VALUES]
+
+
+@pytest.mark.parametrize(
+    "key, edits", EDGE_CASES, ids=[",".join(f"{k}={v}" for k, v in edits.items()) for _, edits in EDGE_CASES]
+)
+def test_edge_value_runs_or_is_refused_by_name(key, edits, monkeypatch, tmp_path):
+    """Each value either builds and runs a round, or build_config refuses it
+    naming its key, before any data is generated."""
+    monkeypatch.chdir(tmp_path)  # out and ledger_out write where they are told
+    generated = []
+    real = harness.generate_synthetic
+    monkeypatch.setattr(harness, "generate_synthetic", lambda *args: generated.append(args) or real(*args))
+    try:
+        with np.errstate(all="ignore"):
+            result = run_experiment(build_config(dict(EDGE_BASE, **edits)))
+    except ValueError as exc:
+        assert not generated, f"refused only after the data was generated: {exc}"
+        named = re.match(r"^config keys? ('\w+'(?:, '\w+')*): ", str(exc))
+        assert named and repr(key) in named.group(1).split(", "), str(exc)
+    else:
+        assert {m.round_no for m in result.metrics} == {1}

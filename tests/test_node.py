@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,19 @@ class TestLocalRound:
         norm = np.linalg.norm(upload - node.local_weights)
         expected = 10.0 * np.sqrt(arch.param_count)
         assert 0.8 * expected < norm < 1.2 * expected
+
+    def test_attack_fields_refused(self):
+        for make, message in (
+            (lambda: AdditiveNoise(math.nan, 1), "sigma must be finite and positive, got nan"),
+            (lambda: AdditiveNoise(math.inf, 1), "sigma must be finite and positive, got inf"),
+            (lambda: AdditiveNoise(0.0, 1), "sigma must be finite and positive, got 0.0"),
+            (lambda: AdditiveNoise(1.0, 0), "start_round must be >= 1, got 0"),
+            (lambda: SignFlip(0), "start_round must be >= 1, got 0"),
+            (lambda: SignFlip(-5), "start_round must be >= 1, got -5"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == message
 
     def test_noise_reproducible_per_node_round(self):
         a = make_node(attack=AdditiveNoise(2.0, 1))

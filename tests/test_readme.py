@@ -23,4 +23,4 @@ def readme_config_rows() -> dict:
 
 
 def test_config_table_matches_code():
-    assert readme_config_rows() == {key: default for key, (default, _, _) in CONFIG_TABLE.items()}
+    assert readme_config_rows() == {key: default for key, (default, _) in CONFIG_TABLE.items()}
