@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import click
 
+from .data import PartitionError, SkewError
 from .harness import (
     ExperimentAbort,
     build_config,
@@ -29,13 +30,17 @@ def main():
 @click.option("--ledger-out", default=None, type=click.Path(dir_okay=False), help="Override: ledger dump path")
 def run(config_path, scheme, rounds, seed, out, ledger_out):
     """Run one experiment from a flat key=value config file."""
-    raw = parse_config_file(config_path)
-    cfg = build_config(
-        raw, scheme=scheme, rounds=rounds, seed=seed, out=out, ledger_out=ledger_out
-    )
+    # a refused value, data that cannot fill the partition and an aborted
+    # run each end as one line naming the cause
+    try:
+        cfg = build_config(
+            parse_config_file(config_path), scheme=scheme, rounds=rounds, seed=seed, out=out, ledger_out=ledger_out
+        )
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     try:
         result = run_experiment(cfg)
-    except ExperimentAbort as exc:
+    except (ExperimentAbort, PartitionError, SkewError) as exc:
         raise click.ClickException(str(exc))
     summary = summarize(result.metrics)
     final = summary.rounds[-1]

@@ -25,8 +25,9 @@ AGREEMENT_REL_SPREAD = 1e-8
 
 FENCE_SCALE = 1.5
 
-# each candidate costs every node one mix and one forward pass per round; 101
-# (step 0.01 over [0, 1]) cost 1.3-1.6x local training on the synthetic shapes
+# each candidate costs every node a mix of everything after the first layer's
+# weights and a pass through layers 2-3 per round; 101 (step 0.01 over [0, 1])
+# cost 1.4-1.6x local training on both the synthetic and the 784-input shape
 MAX_GRID_CANDIDATES = 101
 
 
@@ -222,6 +223,11 @@ def negotiate_alpha(acc: AccuracyMatrix, grid: NegotiationGrid, policy: Policy):
     return grid.alphas[best_index], best_index
 
 
+def _norm(d: np.ndarray) -> float:
+    # numpy's own pairwise sum, not BLAS: the same bits on any thread count
+    return np.sqrt(np.square(d).sum())
+
+
 def model_diffs(local_vectors, temp_global: np.ndarray) -> np.ndarray:
     """Euclidean distance of each upload from the temporary global average."""
     temp_global = np.asarray(temp_global, dtype=np.float64)
@@ -233,11 +239,11 @@ def model_diffs(local_vectors, temp_global: np.ndarray) -> np.ndarray:
         d = v - temp_global
         # an overflowing sum of squares is handled below, so it warns of nothing
         with np.errstate(over="ignore"):
-            dist = np.linalg.norm(d)
+            dist = _norm(d)
             if not np.isfinite(dist) and np.isfinite(d).all():
                 # recompute with the entries scaled by the largest of them
                 scale = np.abs(d).max()
-                dist = scale * np.linalg.norm(d / scale)
+                dist = scale * _norm(d / scale)
         out[i] = dist
     return out
 

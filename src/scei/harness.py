@@ -106,11 +106,11 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if not isinstance(self.grid, NegotiationGrid):
             raise ValueError(f"grid must be a NegotiationGrid from contract.build_grid, got {self.grid!r}")
-        if self.scheme is Scheme.FIXED_ALPHA:
-            if self.fixed_alpha is None:
-                raise ValueError("fixed_alpha scheme needs a fixed_alpha value")
-            if not 0.0 <= self.fixed_alpha <= 1.0:
-                raise ValueError("fixed_alpha must lie in [0, 1]")
+        if self.scheme is Scheme.FIXED_ALPHA and self.fixed_alpha is None:
+            raise ValueError("fixed_alpha scheme needs a fixed_alpha value")
+        # checked under every scheme, so a bad value is not passed over because the scheme ignores it
+        if self.fixed_alpha is not None and not 0.0 <= self.fixed_alpha <= 1.0:
+            raise ValueError(f"fixed_alpha must lie in [0, 1], got {self.fixed_alpha}")
         attacked = [node_id for node_id, _ in self.attacks]
         for node_id, attack in self.attacks:
             if attacked.count(node_id) > 1:
@@ -381,6 +381,13 @@ def _widths(text: str) -> tuple:
     return tuple(int(h.strip()) for h in text.split(","))
 
 
+def _unit_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {value}")
+    return value
+
+
 # attack kind -> (class, usage, parsers of the fields after the kind, in the
 # order of the class's fields)
 _ATTACK_KINDS = {
@@ -430,7 +437,7 @@ def _dataset_kind(text: str) -> str:
 # default is absent unless given
 CONFIG_TABLE = {
     "scheme": ("scei", lambda v: Scheme(v.lower())),
-    "fixed_alpha": (None, float),
+    "fixed_alpha": (None, _unit_fraction),
     "dataset": ("synthetic", _dataset_kind),
     "synthetic_classes": ("10", int),
     "synthetic_per_class": ("1500", int),

@@ -91,10 +91,14 @@ def unpack_params(params: np.ndarray, arch: MlpArchitecture) -> list:
         raise ValueError(
             f"expected {arch.param_count} parameters, got shape {params.shape}"
         )
+    return _unpack(params, arch.layer_shapes)
+
+
+def _unpack(params, shapes) -> list:
     lead = params.shape[:-1]
     layers = []
     offset = 0
-    for fan_in, fan_out in arch.layer_shapes:
+    for fan_in, fan_out in shapes:
         weights = params[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
         bias = params[..., offset : offset + fan_out]
@@ -115,17 +119,23 @@ def _as_batch(batch, arch: MlpArchitecture) -> np.ndarray:
 
 
 def _forward_layers(layers, x):
-    (w1, b1), (w2, b2), (w3, b3) = layers
+    (w1, b1), *tail = layers
     # biases get a row axis so they broadcast over a stack's batches too
     z1 = x @ w1
     z1 += b1[..., None, :]
+    return (z1, *_forward_tail(tail, z1))
+
+
+def _forward_tail(tail, z1):
+    """Layers 2 and 3 from the first layer's pre-activation z1."""
+    (w2, b2), (w3, b3) = tail
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ w2
     z2 += b2[..., None, :]
     a2 = np.maximum(z2, 0.0)
     logits = a2 @ w3
     logits += b3[..., None, :]
-    return z1, a1, z2, a2, logits
+    return a1, z2, a2, logits
 
 
 def _forward_cached(params, arch, x):
@@ -278,8 +288,33 @@ def evaluate(params: np.ndarray, arch: MlpArchitecture, test_set: LabeledDataset
     Argmax ties resolve to the lowest class index, so evaluation is
     deterministic even for degenerate models.
     """
+    return evaluate_split(*split_first_layer(params, arch, test_set), arch, test_set)
+
+
+def split_first_layer(params: np.ndarray, arch: MlpArchitecture, test_set: LabeledDataset) -> tuple:
+    """(x @ W1, tail): the test features times the first layer's weights, and a
+    view of the rest of the flat vector, b1 | W2 | b2 | W3 | b3.
+
+    The product is linear in W1, so the product of a mix of two models is the
+    same mix of their products, up to rounding; evaluate_split scores a model
+    from the pair.
+    """
     if len(test_set) == 0:
         raise ValueError("empty test set")
-    probs = forward(params, arch, test_set.features)
-    predictions = probs.argmax(axis=1)
+    x = _as_batch(test_set.features, arch)
+    params = np.asarray(params, dtype=np.float64)
+    (w1, _), *_ = unpack_params(params, arch)
+    return x @ w1, params[w1.size :]
+
+
+def evaluate_split(product: np.ndarray, tail: np.ndarray, arch: MlpArchitecture, test_set: LabeledDataset) -> float:
+    """evaluate() of the model that split_first_layer gives as (product, tail)."""
+    (fan_in, hidden), *shapes = arch.layer_shapes
+    tail = np.asarray(tail, dtype=np.float64)
+    expected = ((len(test_set), hidden), (arch.param_count - fan_in * hidden,))
+    if (np.shape(product), tail.shape) != expected:
+        raise ValueError(f"expected product and tail shapes {expected}, got {(np.shape(product), tail.shape)}")
+    z1 = product + tail[:hidden]
+    *_, logits = _forward_tail(_unpack(tail[hidden:], shapes), z1)
+    predictions = _softmax(logits).argmax(axis=1)
     return float(np.mean(predictions == test_set.labels))

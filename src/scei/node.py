@@ -12,7 +12,7 @@ import numpy as np
 
 from .contract import NegotiationGrid, mix
 from .data import NodeDataSplit
-from .model import MlpArchitecture, TrainingConfig, evaluate, sgd_train
+from .model import MlpArchitecture, TrainingConfig, evaluate_split, sgd_train, split_first_layer
 
 # stream tags for per-node, per-round derived seeds
 _TRAIN_TAG = 11
@@ -133,9 +133,18 @@ def evaluate_candidates(
 ) -> tuple:
     """Mix the node's weights with the global model at every grid alpha and
     score each candidate on the node's local test set; the accuracies come
-    back in grid order."""
+    back in grid order.
+
+    The first layer's product with the test features is linear in its
+    weights, so each side's product is taken once and the products are mixed,
+    along with the rest of the weights; alpha 0 and 1 score exactly as
+    evaluate() of the global and the local model do.
+    """
+    test = node.split.test
+    local_product, local_tail = split_first_layer(node.local_weights, arch, test)
+    global_product, global_tail = split_first_layer(global_weights, arch, test)
     return tuple(
-        evaluate(mix(node.local_weights, global_weights, alpha), arch, node.split.test)
+        evaluate_split(mix(local_product, global_product, alpha), mix(local_tail, global_tail, alpha), arch, test)
         for alpha in grid.alphas
     )
 

@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 
+import pytest
 from click.testing import CliRunner
 
 from scei.cli import main
@@ -56,6 +57,27 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         assert "local: 3 rounds" in result.output
         assert len(out.read_text().splitlines()) == 1 + 3 * 4
+
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("nodes = 0", "config keys 'nodes', 'samples_per_node', 'labels_per_node', 'skew_ratio', 'seed': "
+                          "num_nodes must be >= 1"),
+            ("fixed_alpha = nan", "config key 'fixed_alpha': must lie in [0, 1], got nan"),
+            ("nodes = 100", "dataset has 2400 examples, need at least 12000"),
+            ("labels_per_node = 6\nskew_ratio = 0.2", "node 0: need 7 out-of-distribution examples, only 0 available"),
+        ],
+        ids=["nodes=0", "fixed_alpha=nan", "nodes=100", "skew_ratio=0.2"],
+    )
+    def test_refusals_end_as_one_line(self, tmp_path, extra, message):
+        """A refused value (ValueError), data too small for the partition
+        (PartitionError) or without out-of-distribution examples for the skew
+        (SkewError) ends as click's one-line error with exit code 1."""
+        result = CliRunner().invoke(main, ["run", "--config", str(write_config(tmp_path, extra))])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {message}\n"
 
 
 class TestVerifyLedgerCommand:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scei
 from scei.contract import (
     MAX_GRID_CANDIDATES,
     AccuracyMatrix,
@@ -316,6 +320,32 @@ class TestModelDiffs:
         assert math.isclose(diffs[0], math.sqrt(3) * 1e200, rel_tol=1e-15)
         assert diffs[1] == np.linalg.norm(small) == 13.0
         assert diffs[2] == np.inf
+
+    def test_same_bits_on_one_and_two_blas_threads(self):
+        """A replay on a machine with another BLAS thread count must screen on
+        the same distances. np.linalg.norm goes through BLAS and, for a
+        199,210-entry vector, differs in the last bit between 1 and 2 threads."""
+        script = (
+            "import numpy as np\n"
+            "from scei.contract import model_diffs\n"
+            "rng = np.random.default_rng(5)\n"
+            "temp_global = rng.normal(size=199_210)\n"
+            "uploads = [temp_global + rng.normal(0.0, 10.0 ** -k, size=199_210) for k in range(6)]\n"
+            "print(' '.join(float(d).hex() for d in model_diffs(uploads, temp_global)))\n"
+        )
+        path = os.path.dirname(os.path.dirname(scei.__file__))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0].split()) == 6
+        assert outputs[0] == outputs[1]
 
 
 class TestDynamicBounds:

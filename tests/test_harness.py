@@ -486,6 +486,9 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             small_config(Scheme.FIXED_ALPHA)  # missing alpha
         with pytest.raises(ValueError):
             small_config(Scheme.FIXED_ALPHA, fixed_alpha=1.5)
+        for value in (-0.5, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"^fixed_alpha must lie in \[0, 1\], got {value}$"):
+                small_config(Scheme.SCEI, fixed_alpha=value)
         with pytest.raises(ValueError):
             small_config(Scheme.SCEI, attacks=((9, SignFlip(1)),))  # node id out of range
         with pytest.raises(ValueError):
@@ -553,7 +556,10 @@ EDGE_EXTRAS = {
     "hidden": ("0,4", "4", "4,4,4"),
     "grid_step": ("1e-7", "1e-300"),
     "attacks": ("0:noise:nan:1", "0:noise:inf:1", "0:signflip:0", "0:noise:1:-5"),
+    "fixed_alpha": ("1.5",),
 }
+# values that must be refused under their own key, whatever the scheme
+EDGE_REFUSED = {"fixed_alpha": {"-1", "nan", "inf", "1.5"}}
 EDGE_BASE = {
     "synthetic_classes": "6",
     "synthetic_per_class": "40",
@@ -567,7 +573,10 @@ EDGE_BASE = {
 }
 EDGE_CASES = [
     (key, {key: value}) for key in CONFIG_TABLE for value in EDGE_VALUES + EDGE_EXTRAS.get(key, ())
-] + [("fixed_alpha", {"scheme": "fixed_alpha", "fixed_alpha": value}) for value in EDGE_VALUES]
+] + [
+    ("fixed_alpha", {"scheme": "fixed_alpha", "fixed_alpha": value})
+    for value in EDGE_VALUES + EDGE_EXTRAS["fixed_alpha"]
+]
 
 
 @pytest.mark.parametrize(
@@ -587,5 +596,8 @@ def test_edge_value_runs_or_is_refused_by_name(key, edits, monkeypatch, tmp_path
         assert not generated, f"refused only after the data was generated: {exc}"
         named = re.match(r"^config keys? ('\w+'(?:, '\w+')*): ", str(exc))
         assert named and repr(key) in named.group(1).split(", "), str(exc)
+        if edits[key] in EDGE_REFUSED.get(key, ()):
+            assert named.group(0) == f"config key {key!r}: ", str(exc)
     else:
+        assert edits[key] not in EDGE_REFUSED.get(key, ()), f"{edits} ran instead of being refused"
         assert {m.round_no for m in result.metrics} == {1}

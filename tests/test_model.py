@@ -9,10 +9,12 @@ from scei.model import (
     MlpArchitecture,
     TrainingConfig,
     evaluate,
+    evaluate_split,
     forward,
     init_params,
     loss_and_grad,
     sgd_train,
+    split_first_layer,
     unpack_params,
 )
 
@@ -403,3 +405,12 @@ class TestEvaluate:
         params = init_params(TINY, 1)
         with pytest.raises(ValueError):
             evaluate(params, TINY, LabeledDataset(np.empty((0, 4)), np.empty(0, dtype=int)))
+
+    def test_split_pieces_of_the_wrong_shape_rejected(self):
+        params = init_params(TINY, 1)
+        ds = LabeledDataset(np.ones((5, 4)), np.zeros(5, dtype=int))
+        product, tail = split_first_layer(params, TINY, ds)
+        assert product.shape == (5, 3) and np.shares_memory(tail, params)
+        for bad_product, bad_tail in ((product, tail[:-1]), (product[:4], tail), (product[:, :2], tail)):
+            with pytest.raises(ValueError, match=r"^expected product and tail shapes \(\(5, 3\), \(23,\)\), got"):
+                evaluate_split(bad_product, bad_tail, TINY, ds)

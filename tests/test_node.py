@@ -1,10 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from scei.contract import build_grid, mix
+import scei.node as node_mod
+from scei.contract import NegotiationGrid, build_grid, mix
 from scei.data import LabeledDataset, NodeDataSplit
+from scei.harness import build_config, parse_config_file, run_experiment
+from scei.ledger import RecordKind
 from scei.model import MlpArchitecture, TrainingConfig, evaluate, init_params
 from scei.node import (
     AdditiveNoise,
@@ -175,6 +179,26 @@ class TestLocalRoundStack:
         assert info.value.node_ids == (1, 4)
 
 
+# the width-1 architectures, whose matmuls take numpy's vector paths, plus
+# the test architecture and the synthetic shape
+ARCHS = [
+    MlpArchitecture(1, (1, 1), 2),
+    MlpArchitecture(2, (1, 1), 2),
+    MlpArchitecture(2, (1, 2), 2),
+    MlpArchitecture(1, (2, 1), 2),
+    MlpArchitecture(1, (2, 2), 2),
+    MlpArchitecture(3, (2, 2), 1),
+    ARCH,
+    MlpArchitecture(20, (64, 64), 10),
+]
+GRIDS = [
+    NegotiationGrid((0.0, 1.0)),
+    build_grid(0.0, 1.0, 0.25),
+    NegotiationGrid((0.65,)),
+    build_grid(0.0, 1.0, 0.01),
+]
+
+
 class TestEvaluateCandidates:
     def test_identical_inputs_give_equal_accuracies(self):
         node = make_node()
@@ -185,16 +209,12 @@ class TestEvaluateCandidates:
     def test_alpha_zero_grid_scores_global(self):
         node = make_node()
         global_w = init_params(ARCH, 5)
-        from scei.contract import NegotiationGrid
-
         accuracies = evaluate_candidates(node, ARCH, global_w, NegotiationGrid((0.0,)))
         assert accuracies[0] == evaluate(global_w, ARCH, node.split.test)
 
     def test_alpha_one_grid_scores_local(self):
         node = make_node()
         node.local_weights = init_params(ARCH, 8)
-        from scei.contract import NegotiationGrid
-
         accuracies = evaluate_candidates(node, ARCH, init_params(ARCH, 5), NegotiationGrid((1.0,)))
         assert accuracies[0] == evaluate(node.local_weights, ARCH, node.split.test)
 
@@ -204,6 +224,43 @@ class TestEvaluateCandidates:
         accuracies = evaluate_candidates(node, ARCH, init_params(ARCH, 5), grid)
         assert type(accuracies) is tuple and len(accuracies) == len(grid)
         assert all(0.0 <= a <= 1.0 for a in accuracies)
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=[f"{a.input_dim}-{a.hidden_dims}-{a.output_dim}" for a in ARCHS])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["ends", "quarters", "one", "hundredths"])
+    def test_equals_evaluating_every_mixed_model(self, arch, grid):
+        """Mixing the first layer's products gives the accuracies that
+        evaluating each mixed weight vector gives, on seeded nodes and test
+        sets of 1 to 37 rows; alpha 0 and 1 score the global and the local
+        model exactly."""
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            n = (1, 7, 37, 20)[seed]
+            test = LabeledDataset(rng.normal(size=(n, arch.input_dim)), rng.integers(0, arch.output_dim, size=n))
+            split = NodeDataSplit(train=test, test=test, assigned_labels=frozenset(), base_indices=np.arange(n))
+            local = init_params(arch, 2 * seed) + rng.normal(0.0, 0.3, size=arch.param_count)
+            node = NodeState(node_id=0, split=split, personalized=local.copy(), local_weights=local)
+            global_w = init_params(arch, 2 * seed + 1) + rng.normal(0.0, 0.3, size=arch.param_count)
+            oracle = tuple(evaluate(mix(local, global_w, alpha), arch, test) for alpha in grid.alphas)
+            assert evaluate_candidates(node, arch, global_w, grid) == oracle
+
+    def test_inputs_are_not_mutated(self):
+        node = make_node()
+        global_w = init_params(ARCH, 5)
+        local_before, global_before = node.local_weights.copy(), global_w.copy()
+        evaluate_candidates(node, ARCH, global_w, build_grid(0.0, 1.0, 0.1))
+        assert np.array_equal(node.local_weights, local_before)
+        assert np.array_equal(global_w, global_before)
+
+    def test_empty_test_set_rejected(self):
+        node = make_node()
+        node.split = NodeDataSplit(
+            train=node.split.train,
+            test=node.split.test.subset([]),
+            assigned_labels=node.split.assigned_labels,
+            base_indices=node.split.base_indices,
+        )
+        with pytest.raises(ValueError, match="^empty test set$"):
+            evaluate_candidates(node, ARCH, init_params(ARCH, 5), build_grid(0.5, 0.8, 0.05))
 
 
 class TestApplyAlpha:
@@ -236,3 +293,39 @@ class TestDeriveSeed:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert derive_seed(0, 0, 11) != derive_seed(0, 0, 12)
+
+
+CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_scei.cfg")
+# the benchmark's MNIST-sized protocol: 784 inputs, 199,210 parameters, two noise attackers
+WIDE = {
+    "synthetic_per_class": "500",
+    "synthetic_input_dim": "784",
+    "nodes": "10",
+    "samples_per_node": "200",
+    "labels_per_node": "4",
+    "hidden": "200,200",
+    "local_epochs": "1",
+    "learning_rate": "0.03",
+    "attacks": "1:noise:10.0:1, 2:noise:10.0:1",
+    "seed": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "raw, rounds", [(parse_config_file(CONFIG), 5), (WIDE, 2)], ids=["sample_config", "wide_shape"]
+)
+def test_runs_record_what_evaluating_every_mixed_model_records(raw, rounds, monkeypatch):
+    """Every recorded accuracy, and so the ledger's head hash, is the one that
+    evaluating each mixed weight vector in turn gives."""
+    cfg = build_config(raw, rounds=rounds)
+    book = run_experiment(cfg).ledger
+    monkeypatch.setattr(
+        node_mod,
+        "evaluate_candidates",
+        lambda node, arch, global_w, grid: tuple(
+            evaluate(mix(node.local_weights, global_w, alpha), arch, node.split.test) for alpha in grid.alphas
+        ),
+    )
+    oracle = run_experiment(cfg).ledger
+    assert any(record.kind is RecordKind.ACCURACY_LIST for record in oracle.records)
+    assert book.head_hash == oracle.head_hash
