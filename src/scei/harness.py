@@ -19,8 +19,12 @@ into three values:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import enum
+import glob
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -195,21 +199,61 @@ def _build_nodes(cfg: ExperimentConfig, splits, init_weights) -> list:
     ]
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
+    None when numpy carries no such library."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_-*.so"))
+    if len(libs) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the previous count.
+
+    A product such as (10, 784) @ (784, 200) can differ in its last bit
+    between thread counts, so a run pinned to one thread records the same
+    ledger hashes whatever thread count the process starts with. Without the
+    bundled library nothing is pinned, and hashes hold per thread count.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Build data and nodes, run the full round loop, optionally write outputs."""
-    ds = _build_dataset(cfg)
-    splits = partition_non_iid(ds, cfg.partition)
-    if cfg.partition.skew_ratio > 0:
-        splits = inject_skew(splits, ds, cfg.partition)
+    """Build data and nodes, run the full round loop on one BLAS thread,
+    optionally write outputs."""
+    with _one_blas_thread():
+        ds = _build_dataset(cfg)
+        splits = partition_non_iid(ds, cfg.partition)
+        if cfg.partition.skew_ratio > 0:
+            splits = inject_skew(splits, ds, cfg.partition)
 
-    init_weights = init_params(cfg.arch, derive_seed(cfg.seed, _INIT_TAG))
-    nodes = _build_nodes(cfg, splits, init_weights)
+        init_weights = init_params(cfg.arch, derive_seed(cfg.seed, _INIT_TAG))
+        nodes = _build_nodes(cfg, splits, init_weights)
 
-    book = Ledger()
-    book.append(0, RecordKind.GLOBAL_WEIGHTS, None, ledger_mod.encode_params(init_weights))
-    state = ContractState.fresh([n.node_id for n in nodes])
+        book = Ledger()
+        book.append(0, RecordKind.GLOBAL_WEIGHTS, None, ledger_mod.encode_params(init_weights))
+        state = ContractState.fresh([n.node_id for n in nodes])
 
-    metrics, state = _run_rounds(nodes, book, state, cfg)
+        metrics, state = _run_rounds(nodes, book, state, cfg)
 
     if cfg.output_path:
         write_csv(metrics, cfg.output_path)

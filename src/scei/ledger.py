@@ -23,10 +23,13 @@ independently verifiable by any reader that follows this layout.
 
 from __future__ import annotations
 
+import collections
 import enum
 import hashlib
 import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,15 @@ GENESIS_PREV_HASH = b"\x00" * HASH_LEN
 
 _HEADER = struct.Struct("<QQBBQQ")
 _FIXED_OVERHEAD = _HEADER.size + 2 * HASH_LEN  # header + prev_hash + hash
+
+# Records with a payload this large are hashed on the chain check's worker
+# threads. A worker hashing a smaller one would spend much of its time waiting
+# for the interpreter lock while the walk runs, so those are hashed in place.
+_POOLED_MIN_PAYLOAD = 256 * 1024
+# Records the chain check may hand its workers ahead of the oldest unchecked
+# one, per worker: with two, a worker whose CPU is busy with other work holds
+# back only its own records while the other workers keep hashing.
+_AHEAD_PER_WORKER = 2
 
 
 class LedgerFormatError(ValueError):
@@ -164,28 +176,110 @@ def _file_reader(f):
     return read, os.fstat(f.fileno()).st_size
 
 
-def _first_bad_index(records):
+def _hash_matches(rec) -> bool:
+    return compute_hash(rec.index, rec.round_no, rec.kind, rec.node_id, rec.payload, rec.prev_hash) == rec.hash
+
+
+def _usable_cpus():
+    """The CPUs this process may run on, or () where the platform cannot say."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return () if getaffinity is None else frozenset(getaffinity(0))
+
+
+class _Hashers:
+    """Worker threads, one per CPU in cpus and pinned to it where the system
+    lets it (a worker it will not pin runs unpinned), that hash the records
+    put in and hand back whether each matches its stored hash."""
+
+    def __init__(self, cpus):
+        self._inbox, self._outbox = queue.SimpleQueue(), queue.SimpleQueue()
+        self._done = {}  # index -> result, handed back ahead of an older index
+        self._threads = [threading.Thread(target=self._serve, args=(cpu,)) for cpu in sorted(cpus)]
+        for thread in self._threads:
+            thread.start()
+
+    def _serve(self, cpu):
+        try:
+            os.sched_setaffinity(threading.get_native_id(), {cpu})
+        except OSError:
+            pass
+        for index, rec in iter(self._inbox.get, None):
+            try:
+                result = _hash_matches(rec)
+            except Exception as exc:  # raised again on the walking thread
+                result = exc
+            self._outbox.put((index, result))
+
+    def put(self, index, rec) -> None:
+        self._inbox.put((index, rec))
+
+    def matches(self, index) -> bool:
+        """Whether record index hashes to its stored hash; waits for it."""
+        while index not in self._done:
+            done, result = self._outbox.get()
+            self._done[done] = result
+        result = self._done.pop(index)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def stop(self) -> None:
+        for _ in self._threads:
+            self._inbox.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
+def _first_bad_index(records, cpus=()):
     """(first bad index or None, how many records passed) for a chain, in one pass.
 
     Records are checked as the iterable yields them, holding only the previous
     hash; a bad record is one that is malformed, misplaced, mislinked or
     wrongly hashed, and a walker that raises LedgerFormatError marks its own
     index bad. An empty chain is bad at 0.
+
+    With two or more cpus, a record whose payload reaches _POOLED_MIN_PAYLOAD
+    is hashed on worker threads, one per CPU, started when the first such
+    record arrives; at most _AHEAD_PER_WORKER such records per worker are
+    pulled ahead of the last hash checked. Smaller records, and every record
+    when cpus holds fewer than two, are hashed in place. Index, placement and
+    link checks stay on the calling thread in record order and the workers'
+    results are taken back in index order, so the result is the in-place one.
     """
-    prev, count = GENESIS_PREV_HASH, 0
+    prev, count, bad = GENESIS_PREV_HASH, 0, None
+    hashers, ahead = None, collections.deque()  # indices handed to the hashers, oldest first
     try:
-        for rec in records:
-            if (
-                rec.index != count
-                or (rec.kind is RecordKind.GENESIS) != (count == 0)
-                or rec.prev_hash != prev
-                or compute_hash(rec.index, rec.round_no, rec.kind, rec.node_id, rec.payload, rec.prev_hash)
-                != rec.hash
-            ):
-                return count, count
-            prev, count = rec.hash, count + 1
-    except LedgerFormatError:
-        return count, count
+        try:
+            for rec in records:
+                linked = (
+                    rec.index == count
+                    and (rec.kind is RecordKind.GENESIS) == (count == 0)
+                    and rec.prev_hash == prev
+                )
+                if linked and len(cpus) > 1 and len(rec.payload) >= _POOLED_MIN_PAYLOAD:
+                    if hashers is None:
+                        hashers = _Hashers(cpus)
+                    if len(ahead) == _AHEAD_PER_WORKER * len(cpus):
+                        index = ahead.popleft()
+                        if not hashers.matches(index):
+                            return index, index
+                    hashers.put(count, rec)
+                    ahead.append(count)
+                elif not (linked and _hash_matches(rec)):
+                    bad = count
+                    break
+                prev, count = rec.hash, count + 1
+        except LedgerFormatError:
+            bad = count
+        # every record still ahead precedes the one the walk stopped at
+        for index in ahead:
+            if not hashers.matches(index):
+                return index, index
+    finally:
+        if hashers is not None:
+            hashers.stop()
+    if bad is not None:
+        return bad, bad
     return (None if count else 0), count
 
 
@@ -216,8 +310,13 @@ class Ledger:
         return record
 
     def verify_chain(self) -> int | None:
-        """None when the chain is intact, else the first bad record index."""
-        return _first_bad_index(self.records)[0]
+        """None when the chain is intact, else the first bad record index.
+
+        Records of 256 KiB of payload or more are hashed on worker threads,
+        one per usable CPU; the index is the one a record-by-record check
+        gives.
+        """
+        return _first_bad_index(self.records, _usable_cpus())[0]
 
     def query_round(self, round_no: int, kind: RecordKind) -> list:
         return [r for r in self.records if r.round_no == round_no and r.kind is kind]
@@ -270,16 +369,20 @@ def verify_dump_bytes(blob: bytes) -> int | None:
 
     A frame that cannot be parsed marks its own index bad, unless an earlier
     record already failed; the records only live for this check, so they stay
-    views into blob.
+    views into blob. Since the whole dump is in memory, records of 256 KiB of
+    payload or more are hashed on worker threads, one per usable CPU, while
+    the walk goes on; the index is the one a record-by-record check gives.
     """
-    return _first_bad_index(_walk(*_blob_reader(blob, owned=False)))[0]
+    return _first_bad_index(_walk(*_blob_reader(blob, owned=False)), _usable_cpus())[0]
 
 
 def verify_dump_file(path):
     """(first bad record index or None, record count) of a dump file.
 
-    The file is checked in one pass that holds one record at a time, and it
-    gives the index verify_dump_bytes gives for the file's bytes.
+    The file is checked in one pass that holds one record at a time, hashing
+    each as it is read, and it gives the index verify_dump_bytes gives for the
+    file's bytes. It starts no worker threads: reading ahead for them would
+    hold a record per worker in fresh memory.
     """
     with open(path, "rb") as f:
         return _first_bad_index(_walk(*_file_reader(f)))

@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -87,6 +89,33 @@ class TestDeterminism:
         a = run_experiment(small_config(Scheme.SCEI, seed=1))
         b = run_experiment(small_config(Scheme.SCEI, seed=2))
         assert a.ledger.head_hash != b.ledger.head_hash
+
+    def test_same_head_hash_on_one_and_two_blas_threads(self):
+        """A (10, 784) @ (784, 200) product can differ in its last bit between
+        1 and 2 OpenBLAS threads; run_experiment trains on one thread, so the
+        784-input, 200 x 200 shape records the same chain under either."""
+        script = (
+            "from scei.harness import build_config, run_experiment\n"
+            "raw = dict(scheme='scei', dataset='synthetic', synthetic_classes='10', synthetic_separation='4.0',\n"
+            "           synthetic_per_class='500', synthetic_input_dim='784', nodes='10', labels_per_node='4',\n"
+            "           samples_per_node='200', hidden='200,200', local_epochs='1', learning_rate='0.03',\n"
+            "           batch_size='10', grid_start='0.5', grid_end='0.8', grid_step='0.05', policy='max_mean',\n"
+            "           attacks='1:noise:10.0:1, 2:noise:10.0:1')\n"
+            "print(run_experiment(build_config(raw, rounds=2, seed=1)).ledger.head_hash.hex())\n"
+        )
+        path = os.path.dirname(os.path.dirname(harness.__file__))
+        heads = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(heads[0].strip()) == 64
+        assert heads[0] == heads[1]
 
 
 class TestProtocolLedgerFlow:

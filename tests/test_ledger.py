@@ -3,15 +3,18 @@ import importlib.util
 import os
 import pathlib
 import struct
+import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scei.ledger as ledger_mod
 from scei.ledger import (
     GENESIS_PREV_HASH,
     Ledger,
@@ -293,7 +296,8 @@ class TestTamperDetection:
 
     def test_the_check_stops_at_the_first_fault(self):
         """Records are checked as they come: nothing past the first bad record
-        is pulled, and a walker that raises marks its own index."""
+        is pulled, and a walker that raises marks its own index. Here every
+        record is hashed in place; the pooled path has its own test below."""
         records = build_ledger(8).records
         forged = records[:]
         forged[4] = LedgerRecord(4, 1, RecordKind.GLOBAL_WEIGHTS, None, b"x", records[3].hash, records[4].hash)
@@ -311,6 +315,75 @@ class TestTamperDetection:
         assert _first_bad_index(stream(records, fail_at=6)) == (6, 6)
         assert _first_bad_index(stream(records)) == (None, 9)
         assert _first_bad_index(iter(())) == (0, 0)
+
+    def test_the_pooled_check_reads_at_most_one_record_per_worker_ahead(self):
+        """Records of 256 KiB go to the pool: with a hash fault at k the check
+        reports k after pulling at most _AHEAD_PER_WORKER records per worker
+        past it, and a malformed frame right after the fault does not hide it."""
+        book = Ledger()
+        for i in range(1, 14):
+            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * ledger_mod._POOLED_MIN_PAYLOAD)
+        cpus = frozenset({0, 1})
+        pulled = []
+
+        def stream(recs, fail_at=None):
+            for i, rec in enumerate(recs):
+                if i == fail_at:
+                    raise LedgerFormatError("malformed")
+                pulled.append(i)
+                yield rec
+
+        assert _first_bad_index(stream(book.records), cpus) == (None, 14)
+        for k in (1, 4, 7, 13):
+            forged = book.records[:]
+            rec = forged[k]
+            forged[k] = LedgerRecord(rec.index, rec.round_no, rec.kind, None, b"\0" + rec.payload[1:], rec.prev_hash, rec.hash)
+            pulled.clear()
+            assert _first_bad_index(stream(forged), cpus) == (k, k)
+            # the walk runs its full window ahead, unless the dump ends first
+            assert pulled[-1] == min(k + ledger_mod._AHEAD_PER_WORKER * len(cpus), len(forged) - 1)
+            assert _first_bad_index(stream(forged, fail_at=k + 1), cpus) == (k, k)
+
+    def test_a_hash_that_raises_on_a_worker_raises_on_the_walk(self):
+        """A record whose header cannot be packed raises on the walking thread,
+        as it does in place, instead of leaving the walk waiting for a result."""
+        book = Ledger()
+        book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(ledger_mod._POOLED_MIN_PAYLOAD))
+        rec = book.records[1]
+        records = [book.records[0], LedgerRecord(1, -1, rec.kind, None, rec.payload, rec.prev_hash, rec.hash)]
+        for cpus in ((), frozenset({0, 1})):
+            with pytest.raises(struct.error):
+                _first_bad_index(iter(records), cpus)
+
+    def test_a_small_dump_starts_no_thread(self):
+        """Below the pool's threshold verify_dump_bytes neither imports
+        concurrent.futures nor starts a thread; a large record starts one
+        worker per CPU."""
+        script = (
+            "import os, sys, threading\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from scei.ledger import Ledger, RecordKind, verify_dump_bytes\n"
+            "book = Ledger()\n"
+            "for i in range(3):\n"
+            "    book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(256 * 1024 - 1))\n"
+            "assert verify_dump_bytes(book.to_bytes()) is None\n"
+            "print('concurrent.futures' in sys.modules, len(started))\n"
+            "book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(256 * 1024))\n"
+            "assert verify_dump_bytes(book.to_bytes()) is None\n"
+            "print(len(started))\n"
+        )
+        path = os.path.dirname(os.path.dirname(ledger_mod.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.split("\n")[:2] == ["False 0", "2"]
 
     @pytest.mark.parametrize(
         "fault",
@@ -340,6 +413,43 @@ class TestTamperDetection:
             assert bad == checks.read_dump(dump).first_bad
             path.write_bytes(dump)
             assert verify_dump_file(path) == (bad, len(Ledger.from_bytes(dump)) if bad is None else bad)
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["edit 0x01", "edit 0x5a", "edit 0xff", "truncate", "length"],
+    )
+    def test_every_single_fault_agrees_on_the_pool(self, fault, tmp_path, monkeypatch):
+        """The same faults with every record hashed on a two-worker pool."""
+        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        self.test_every_single_fault_agrees_with_the_independent_reader(fault, tmp_path)
+
+    def test_any_affinity_set_gives_the_same_index(self, monkeypatch):
+        """Pools of 1, 2 and 4 CPUs, some of which this machine lacks so their
+        workers run unpinned, report what the in-place check reports, with the
+        interpreter lock passed between the workers and the walk as often as
+        it can be."""
+        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
+        own, lacking = min(os.sched_getaffinity(0)), os.cpu_count()
+        affinities = ({own}, {own, lacking}, {own, lacking, lacking + 1, lacking + 2})
+        blob = build_ledger(8, payload_size=40).to_bytes()
+        offsets = _framed(blob)
+        faulty = [blob, blob[:-5]] + [
+            blob[:at] + bytes([blob[at] ^ 0x5A]) + blob[at + 1 :] for start in offsets for at in (start + 4, start + 40)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for dump in faulty:
+                expected = _first_bad_index(ledger_mod._walk(*ledger_mod._blob_reader(dump, owned=False)))[0]
+                loaded = _load(lambda: Ledger.from_bytes(dump))
+                for cpus in affinities:
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                    assert verify_dump_bytes(dump) == expected
+                    if loaded is not None:
+                        assert loaded.verify_chain() == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _framed(blob):
@@ -385,21 +495,37 @@ class TestLoaderAgreement:
     def test_file_and_buffer_loaders_agree(self, kind, a, b):
         """read_dump(file) and from_bytes(bytes) load equal records or both
         refuse the dump, and verify_dump_bytes reports what the load shows."""
-        blob = _edited(kind, a, b)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "ledger.bin")
-            with open(path, "wb") as f:
-                f.write(blob)
-            from_file = _load(lambda: Ledger.read_dump(path))
-        from_buffer = _load(lambda: Ledger.from_bytes(blob))
-        bad = verify_dump_bytes(blob)
-        if from_buffer is None:
-            assert from_file is None
-            assert bad is not None
-        else:
-            assert from_file is not None
-            assert from_file.records == from_buffer.records
-            assert bad == from_buffer.verify_chain()
+        _assert_loaders_agree(_edited(kind, a, b))
+
+    @given(
+        st.sampled_from(["edit", "truncate", "length"]),
+        st.integers(0, 2**20),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_file_and_buffer_loaders_agree_on_the_pool(self, kind, a, b):
+        """The same, with every record of both checks hashed on a two-worker pool."""
+        with mock.patch.object(ledger_mod, "_POOLED_MIN_PAYLOAD", 0), mock.patch.object(
+            os, "sched_getaffinity", lambda pid: {0, 1}
+        ):
+            _assert_loaders_agree(_edited(kind, a, b))
+
+
+def _assert_loaders_agree(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ledger.bin")
+        with open(path, "wb") as f:
+            f.write(blob)
+        from_file = _load(lambda: Ledger.read_dump(path))
+    from_buffer = _load(lambda: Ledger.from_bytes(blob))
+    bad = verify_dump_bytes(blob)
+    if from_buffer is None:
+        assert from_file is None
+        assert bad is not None
+    else:
+        assert from_file is not None
+        assert from_file.records == from_buffer.records
+        assert bad == from_buffer.verify_chain()
 
 
 class TestPayloadCodecs:
