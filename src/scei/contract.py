@@ -229,9 +229,14 @@ def _norm(d: np.ndarray) -> float:
 
 
 def model_diffs(local_vectors, temp_global: np.ndarray) -> np.ndarray:
-    """Euclidean distance of each upload from the temporary global average."""
+    """Euclidean distance of each upload from the temporary global average.
+
+    When a distance of finite entries overflows, every distance is divided by
+    the one power of two that makes the largest finite; the division is
+    exact, so the fences decide as they would on the unscaled distances.
+    """
     temp_global = np.asarray(temp_global, dtype=np.float64)
-    out = np.empty(len(local_vectors))
+    norms, scales = np.empty(len(local_vectors)), np.ones(len(local_vectors))
     for i, v in enumerate(local_vectors):
         v = np.asarray(v, dtype=np.float64)
         if v.shape != temp_global.shape:
@@ -239,13 +244,15 @@ def model_diffs(local_vectors, temp_global: np.ndarray) -> np.ndarray:
         d = v - temp_global
         # an overflowing sum of squares is handled below, so it warns of nothing
         with np.errstate(over="ignore"):
-            dist = _norm(d)
-            if not np.isfinite(dist) and np.isfinite(d).all():
+            norms[i] = _norm(d)
+            if not np.isfinite(norms[i]) and np.isfinite(d).all():
                 # recompute with the entries scaled by the largest of them
-                scale = np.abs(d).max()
-                dist = scale * _norm(d / scale)
-        out[i] = dist
-    return out
+                scales[i] = np.abs(d).max()
+                norms[i] = _norm(d / scales[i])
+    # each distance is scale * norm, below 2**exponent; keep every one below 2**1024
+    exponents = np.frexp(scales)[1] + np.frexp(norms)[1]
+    shift = max(0, int(exponents.max(initial=0)) - 1024)
+    return np.ldexp(scales, -shift) * norms
 
 
 def dynamic_bounds(round_no: int, total_rounds: int):

@@ -199,6 +199,15 @@ def generate_synthetic(num_classes, per_class, input_dim, separation, seed) -> L
     return LabeledDataset(features, labels)
 
 
+def check_partition(examples, labels, num_nodes, samples_per_node, labels_per_node) -> None:
+    """Refuse a partition that a dataset of this many examples and labels
+    cannot fill; a label pool that runs dry is found only while partitioning."""
+    if examples < num_nodes * samples_per_node:
+        raise PartitionError(f"dataset has {examples} examples, need at least {num_nodes * samples_per_node}")
+    if labels < labels_per_node:
+        raise PartitionError(f"dataset has {labels} labels, need {labels_per_node} per node")
+
+
 def partition_non_iid(ds: LabeledDataset, spec: PartitionSpec) -> list:
     """Distribute label-sorted data to nodes and split each block 80/20.
 
@@ -207,16 +216,8 @@ def partition_non_iid(ds: LabeledDataset, spec: PartitionSpec) -> list:
     samples_per_node/labels_per_node examples per label from a shared per-label
     pool, so no example lands on two nodes.
     """
-    if len(ds) < spec.num_nodes * spec.samples_per_node:
-        raise PartitionError(
-            f"dataset has {len(ds)} examples, need at least "
-            f"{spec.num_nodes * spec.samples_per_node}"
-        )
     unique_labels = np.unique(ds.labels)
-    if len(unique_labels) < spec.labels_per_node:
-        raise PartitionError(
-            f"dataset has {len(unique_labels)} labels, need {spec.labels_per_node} per node"
-        )
+    check_partition(len(ds), len(unique_labels), spec.num_nodes, spec.samples_per_node, spec.labels_per_node)
     rng = np.random.default_rng([spec.rng_seed, _PARTITION_TAG])
 
     pools = {int(c): rng.permutation(np.flatnonzero(ds.labels == c)) for c in unique_labels}

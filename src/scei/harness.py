@@ -35,6 +35,7 @@ from .contract import AccuracyMatrix, AggregationError, ContractState, Negotiati
 from .data import (
     LabeledDataset,
     PartitionSpec,
+    check_partition,
     check_synthetic,
     generate_synthetic,
     inject_skew,
@@ -557,14 +558,21 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"config keys {', '.join(map(repr, keys.values()))}: {exc}") from exc
 
+    dataset = part(*_SOURCES[get("dataset")])
+    partition = part(PartitionSpec, dict(num_nodes="nodes", samples_per_node="samples_per_node",
+                                         labels_per_node="labels_per_node", skew_ratio="skew_ratio",
+                                         rng_seed="seed"))
+    if isinstance(dataset, SyntheticSource):
+        # its example and label counts are known before any data exists
+        part(lambda num_classes, per_class, **spec: check_partition(num_classes * per_class, num_classes, **spec),
+             dict(num_nodes="nodes", samples_per_node="samples_per_node", labels_per_node="labels_per_node",
+                  num_classes="synthetic_classes", per_class="synthetic_per_class"))
     return part(
         ExperimentConfig,
         dict(scheme="scheme", fixed_alpha="fixed_alpha", hidden="hidden", rounds="rounds",
              attacks="attacks", seed="seed"),
-        dataset=part(*_SOURCES[get("dataset")]),
-        partition=part(PartitionSpec, dict(num_nodes="nodes", samples_per_node="samples_per_node",
-                                           labels_per_node="labels_per_node", skew_ratio="skew_ratio",
-                                           rng_seed="seed")),
+        dataset=dataset,
+        partition=partition,
         training=part(TrainingConfig, dict(batch_size="batch_size", local_epochs="local_epochs",
                                            learning_rate="learning_rate", rng_seed="seed")),
         grid=part(build_grid, dict(start="grid_start", end="grid_end", step="grid_step")),

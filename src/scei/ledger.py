@@ -23,11 +23,10 @@ independently verifiable by any reader that follows this layout.
 
 from __future__ import annotations
 
-import collections
+import contextlib
 import enum
 import hashlib
 import os
-import queue
 import struct
 import threading
 from dataclasses import dataclass
@@ -42,12 +41,8 @@ _FIXED_OVERHEAD = _HEADER.size + 2 * HASH_LEN  # header + prev_hash + hash
 
 # Records with a payload this large are hashed on the chain check's worker
 # threads. A worker hashing a smaller one would spend much of its time waiting
-# for the interpreter lock while the walk runs, so those are hashed in place.
+# for the interpreter lock, so those are hashed in place by the walk.
 _POOLED_MIN_PAYLOAD = 256 * 1024
-# Records the chain check may hand its workers ahead of the oldest unchecked
-# one, per worker: with two, a worker whose CPU is busy with other work holds
-# back only its own records while the other workers keep hashing.
-_AHEAD_PER_WORKER = 2
 
 
 class LedgerFormatError(ValueError):
@@ -186,51 +181,40 @@ def _usable_cpus():
     return () if getaffinity is None else frozenset(getaffinity(0))
 
 
-class _Hashers:
-    """Worker threads, one per CPU in cpus and pinned to it where the system
-    lets it (a worker it will not pin runs unpinned), that hash the records
-    put in and hand back whether each matches its stored hash."""
+def _hash_apart(records, cpus) -> dict:
+    """Position -> whether the record there hashes to its stored hash, for each
+    record whose payload reaches _POOLED_MIN_PAYLOAD.
 
-    def __init__(self, cpus):
-        self._inbox, self._outbox = queue.SimpleQueue(), queue.SimpleQueue()
-        self._done = {}  # index -> result, handed back ahead of an older index
-        self._threads = [threading.Thread(target=self._serve, args=(cpu,)) for cpu in sorted(cpus)]
-        for thread in self._threads:
-            thread.start()
+    With two or more cpus those records are hashed on one thread per CPU,
+    each pinned to its CPU where the system lets it (an OSError leaves it
+    unpinned) and taking the next position from one shared iterator; with
+    fewer, or no such record, no thread starts and the map is empty. A record
+    whose hash raises gets no entry, so the walk raises when it reaches it.
+    """
+    hashed = {}
+    positions = [i for i, rec in enumerate(records) if len(rec.payload) >= _POOLED_MIN_PAYLOAD]
+    if len(cpus) < 2 or not positions:
+        return hashed
+    # next() on a list iterator and a dict store are each one step under the
+    # interpreter lock, so every position goes to exactly one thread
+    todo = iter(positions)
 
-    def _serve(self, cpu):
-        try:
+    def serve(cpu):
+        with contextlib.suppress(OSError):
             os.sched_setaffinity(threading.get_native_id(), {cpu})
-        except OSError:
-            pass
-        for index, rec in iter(self._inbox.get, None):
-            try:
-                result = _hash_matches(rec)
-            except Exception as exc:  # raised again on the walking thread
-                result = exc
-            self._outbox.put((index, result))
+        for i in todo:
+            with contextlib.suppress(Exception):  # the walk hashes record i again and raises
+                hashed[i] = _hash_matches(records[i])
 
-    def put(self, index, rec) -> None:
-        self._inbox.put((index, rec))
-
-    def matches(self, index) -> bool:
-        """Whether record index hashes to its stored hash; waits for it."""
-        while index not in self._done:
-            done, result = self._outbox.get()
-            self._done[done] = result
-        result = self._done.pop(index)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def stop(self) -> None:
-        for _ in self._threads:
-            self._inbox.put(None)
-        for thread in self._threads:
-            thread.join()
+    threads = [threading.Thread(target=serve, args=(cpu,)) for cpu in sorted(cpus)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return hashed
 
 
-def _first_bad_index(records, cpus=()):
+def _first_bad_index(records, hashed=None):
     """(first bad index or None, how many records passed) for a chain, in one pass.
 
     Records are checked as the iterable yields them, holding only the previous
@@ -238,49 +222,40 @@ def _first_bad_index(records, cpus=()):
     wrongly hashed, and a walker that raises LedgerFormatError marks its own
     index bad. An empty chain is bad at 0.
 
-    With two or more cpus, a record whose payload reaches _POOLED_MIN_PAYLOAD
-    is hashed on worker threads, one per CPU, started when the first such
-    record arrives; at most _AHEAD_PER_WORKER such records per worker are
-    pulled ahead of the last hash checked. Smaller records, and every record
-    when cpus holds fewer than two, are hashed in place. Index, placement and
-    link checks stay on the calling thread in record order and the workers'
-    results are taken back in index order, so the result is the in-place one.
+    hashed maps a record's position in the walk to what _hash_apart found for
+    it, taken only once the record's index, place and link pass; a record
+    without an entry is hashed in place.
     """
-    prev, count, bad = GENESIS_PREV_HASH, 0, None
-    hashers, ahead = None, collections.deque()  # indices handed to the hashers, oldest first
+    hashed = hashed or {}
+    prev, count = GENESIS_PREV_HASH, 0
     try:
-        try:
-            for rec in records:
-                linked = (
-                    rec.index == count
-                    and (rec.kind is RecordKind.GENESIS) == (count == 0)
-                    and rec.prev_hash == prev
-                )
-                if linked and len(cpus) > 1 and len(rec.payload) >= _POOLED_MIN_PAYLOAD:
-                    if hashers is None:
-                        hashers = _Hashers(cpus)
-                    if len(ahead) == _AHEAD_PER_WORKER * len(cpus):
-                        index = ahead.popleft()
-                        if not hashers.matches(index):
-                            return index, index
-                    hashers.put(count, rec)
-                    ahead.append(count)
-                elif not (linked and _hash_matches(rec)):
-                    bad = count
-                    break
-                prev, count = rec.hash, count + 1
-        except LedgerFormatError:
-            bad = count
-        # every record still ahead precedes the one the walk stopped at
-        for index in ahead:
-            if not hashers.matches(index):
-                return index, index
-    finally:
-        if hashers is not None:
-            hashers.stop()
-    if bad is not None:
-        return bad, bad
+        for rec in records:
+            if (
+                rec.index != count
+                or (rec.kind is RecordKind.GENESIS) != (count == 0)
+                or rec.prev_hash != prev
+                or not (hashed[count] if count in hashed else _hash_matches(rec))
+            ):
+                return count, count
+            prev, count = rec.hash, count + 1
+    except LedgerFormatError:
+        return count, count
     return (None if count else 0), count
+
+
+def _check_held(records) -> int | None:
+    """First bad index of a chain held in memory, as _first_bad_index gives it:
+    the walked records are collected, the large ones hashed across the usable
+    CPUs, and then the walk checks them all in order. A walker that raised
+    LedgerFormatError marks the index after the last record it gave."""
+    held, malformed = [], False
+    try:
+        for rec in records:
+            held.append(rec)
+    except LedgerFormatError:
+        malformed = True
+    bad, count = _first_bad_index(held, _hash_apart(held, _usable_cpus()))
+    return count if bad is None and malformed else bad
 
 
 class Ledger:
@@ -313,10 +288,10 @@ class Ledger:
         """None when the chain is intact, else the first bad record index.
 
         Records of 256 KiB of payload or more are hashed on worker threads,
-        one per usable CPU; the index is the one a record-by-record check
-        gives.
+        one per usable CPU, before the walk checks every record in order; the
+        index is the one a record-by-record check gives.
         """
-        return _first_bad_index(self.records, _usable_cpus())[0]
+        return _check_held(self.records)
 
     def query_round(self, round_no: int, kind: RecordKind) -> list:
         return [r for r in self.records if r.round_no == round_no and r.kind is kind]
@@ -370,10 +345,11 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     A frame that cannot be parsed marks its own index bad, unless an earlier
     record already failed; the records only live for this check, so they stay
     views into blob. Since the whole dump is in memory, records of 256 KiB of
-    payload or more are hashed on worker threads, one per usable CPU, while
-    the walk goes on; the index is the one a record-by-record check gives.
+    payload or more are hashed on worker threads, one per usable CPU, before
+    the walk checks every record in order; the index is the one a
+    record-by-record check gives.
     """
-    return _first_bad_index(_walk(*_blob_reader(blob, owned=False)), _usable_cpus())[0]
+    return _check_held(_walk(*_blob_reader(blob, owned=False)))
 
 
 def verify_dump_file(path):

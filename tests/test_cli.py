@@ -65,7 +65,8 @@ class TestRunCommand:
             ("nodes = 0", "config keys 'nodes', 'samples_per_node', 'labels_per_node', 'skew_ratio', 'seed': "
                           "num_nodes must be >= 1"),
             ("fixed_alpha = nan", "config key 'fixed_alpha': must lie in [0, 1], got nan"),
-            ("nodes = 100", "dataset has 2400 examples, need at least 12000"),
+            ("nodes = 100", "config keys 'nodes', 'samples_per_node', 'labels_per_node', 'synthetic_classes', "
+                            "'synthetic_per_class': dataset has 2400 examples, need at least 12000"),
             ("labels_per_node = 6\nskew_ratio = 0.2", "node 0: need 7 out-of-distribution examples, only 0 available"),
         ],
         ids=["nodes=0", "fixed_alpha=nan", "nodes=100", "skew_ratio=0.2"],

@@ -321,6 +321,21 @@ class TestModelDiffs:
         assert diffs[1] == np.linalg.norm(small) == 13.0
         assert diffs[2] == np.inf
 
+    def test_distances_past_the_float64_limit_are_divided_by_one_power_of_two(self):
+        """Distances of 8e308 and 4e308 exceed the float64 limit even rescaled:
+        every distance of the call is divided by the same power of two, so all
+        are finite and their ratios are exact."""
+        global_ = np.zeros(64)
+        small = np.zeros(64)
+        small[:3] = (3.0, 4.0, 12.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            diffs = model_diffs([np.full(64, 1e308), np.full(64, 5e307), small], global_)
+        assert np.isfinite(diffs).all()
+        assert diffs[0] == 2 * diffs[1]
+        assert math.frexp(13.0 / diffs[2])[0] == 0.5  # 13 divided by a power of two
+        assert math.isclose(diffs[0] / diffs[2], 1e308 / 13.0 * 8, rel_tol=1e-15)
+
     def test_same_bits_on_one_and_two_blas_threads(self):
         """A replay on a machine with another BLAS thread count must screen on
         the same distances. np.linalg.norm goes through BLAS and, for a
@@ -559,6 +574,32 @@ class TestScreen:
             assert expelled == ((3,) if round_no == 5 else ())
         assert state.active_nodes == (0, 1, 2, 4, 5)
         assert state.suspicion_history == {3: (1, 2, 3, 4, 5)}
+
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 9),
+        st.integers(1, 12),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_upload_of_any_values_leaves_a_finite_global(self, seed, honest, round_no, data):
+        """One upload of any float64 values, at any place among 1-9 honest
+        ones, never leaves every node flagged, and the global is finite."""
+        extremes = [np.nan, np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308,
+                    -1.7976931348623157e308, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+        values = st.one_of(st.floats(), st.sampled_from(extremes))
+        # a filled vector with some entries replaced: 64 entries near the limit
+        # overflow even the honest uploads' distances from their average
+        wild = np.full(64, data.draw(values))
+        for at, value in data.draw(st.lists(st.tuples(st.integers(0, 63), values), max_size=8)):
+            wild[at] = value
+        rng = np.random.default_rng(seed)
+        vectors = [rng.normal(size=64) for _ in range(honest)]
+        vectors.insert(data.draw(st.integers(0, honest)), wild)
+        uploads = dict(enumerate(vectors))
+        report, _, _ = screen(uploads, ContractState.fresh(uploads), round_no, 12)
+        assert np.isfinite(robust_aggregate(uploads, report.flagged)).all()
 
 
 class TestRobustAggregate:

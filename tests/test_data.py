@@ -12,6 +12,7 @@ from scei.data import (
     PartitionError,
     PartitionSpec,
     SkewError,
+    check_partition,
     generate_synthetic,
     inject_skew,
     load_mnist_idx,
@@ -227,6 +228,18 @@ class TestPartitionNonIid:
             assert sa.assigned_labels == sb.assigned_labels
             assert np.array_equal(sa.train.features, sb.train.features)
             assert np.array_equal(sa.test.labels, sb.test.labels)
+
+    def test_too_few_examples_or_labels_refused_before_drawing(self):
+        """A dataset of any source that cannot fill the partition is refused by
+        its counts, as build_config refuses a synthetic one up front."""
+        ds = LabeledDataset(np.ones((65, 2)), np.array([0] * 30 + [1] * 30 + [2] * 5))
+        for spec, message in (
+            (PartitionSpec(num_nodes=3, samples_per_node=30, labels_per_node=3), "dataset has 65 examples, need at least 90"),
+            (PartitionSpec(num_nodes=1, samples_per_node=40, labels_per_node=4), "dataset has 3 labels, need 4 per node"),
+        ):
+            with pytest.raises(PartitionError, match=f"^{message}$"):
+                partition_non_iid(ds, spec)
+        check_partition(90, 3, num_nodes=3, samples_per_node=30, labels_per_node=3)
 
     def test_insufficient_label_pool_names_label(self):
         # label 2 holds only 5 examples; every node assigns all 3 labels and

@@ -262,6 +262,20 @@ class TestAttacksAndDefence:
         assert flagged == [(r, 1) for r in range(1, 6)]
         assert [(m.round_no, m.node_id) for m in result.metrics if m.expelled] == [(5, 1)]
 
+    def test_distances_past_the_float64_limit_blame_only_the_attacker(self):
+        """At noise 3e307 on 6,154 parameters every node's distance exceeds the
+        float64 limit even with its entries rescaled. All distances are divided
+        by one power of two, which keeps their order, so only node 1 is
+        flagged, in rounds 1-5, and it is expelled at round 5."""
+        raw = dict(parse_config_file(SAMPLE_CONFIG), nodes="8", hidden="64,64", attacks="1:noise:3e307:1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_experiment(build_config(raw, rounds=6, seed=1))
+        assert max(m.round_no for m in result.metrics) == 6
+        flagged = [(m.round_no, m.node_id) for m in result.metrics if m.flagged]
+        assert flagged == [(r, 1) for r in range(1, 6)]
+        assert [(m.round_no, m.node_id) for m in result.metrics if m.expelled] == [(5, 1)]
+
     def test_fedavg_scheme_never_flags(self):
         cfg = small_config(
             Scheme.FEDAVG,
@@ -563,6 +577,11 @@ attacks = 1:noise:10.0:1, 3:signflip:2
             ({"dataset": "mnist"}, "config keys 'mnist_images', 'mnist_labels': "
                                    "mnist dataset needs an images path and a labels path"),
             ({"dataset": "Tabular"}, "config key 'dataset': unknown dataset 'tabular'"),
+            ({"nodes": "100"}, "config keys 'nodes', 'samples_per_node', 'labels_per_node', 'synthetic_classes', "
+                               "'synthetic_per_class': dataset has 15000 examples, need at least 60000"),
+            ({"labels_per_node": "12"}, "config keys 'nodes', 'samples_per_node', 'labels_per_node', "
+                                        "'synthetic_classes', 'synthetic_per_class': "
+                                        "dataset has 10 labels, need 12 per node"),
         ):
             with pytest.raises(ValueError) as exc:
                 build_config(raw)

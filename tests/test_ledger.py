@@ -316,44 +316,68 @@ class TestTamperDetection:
         assert _first_bad_index(stream(records)) == (None, 9)
         assert _first_bad_index(iter(())) == (0, 0)
 
-    def test_the_pooled_check_reads_at_most_one_record_per_worker_ahead(self):
-        """Records of 256 KiB go to the pool: with a hash fault at k the check
-        reports k after pulling at most _AHEAD_PER_WORKER records per worker
-        past it, and a malformed frame right after the fault does not hide it."""
+    def test_the_pooled_check_reports_the_first_fault(self, monkeypatch):
+        """Records of 256 KiB are hashed apart first, every one of them: with a
+        hash fault at k the pool finds k and the records past it, the check
+        reports k, and a malformed frame right after the fault does not hide it."""
         book = Ledger()
         for i in range(1, 14):
             book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * ledger_mod._POOLED_MIN_PAYLOAD)
-        cpus = frozenset({0, 1})
-        pulled = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
         def stream(recs, fail_at=None):
             for i, rec in enumerate(recs):
                 if i == fail_at:
                     raise LedgerFormatError("malformed")
-                pulled.append(i)
                 yield rec
 
-        assert _first_bad_index(stream(book.records), cpus) == (None, 14)
+        assert ledger_mod._check_held(stream(book.records)) is None
         for k in (1, 4, 7, 13):
             forged = book.records[:]
             rec = forged[k]
             forged[k] = LedgerRecord(rec.index, rec.round_no, rec.kind, None, b"\0" + rec.payload[1:], rec.prev_hash, rec.hash)
-            pulled.clear()
-            assert _first_bad_index(stream(forged), cpus) == (k, k)
-            # the walk runs its full window ahead, unless the dump ends first
-            assert pulled[-1] == min(k + ledger_mod._AHEAD_PER_WORKER * len(cpus), len(forged) - 1)
-            assert _first_bad_index(stream(forged, fail_at=k + 1), cpus) == (k, k)
+            assert ledger_mod._hash_apart(forged, {0, 1}) == {i: i != k for i in range(1, 14)}
+            assert ledger_mod._check_held(stream(forged)) == k
+            assert ledger_mod._check_held(stream(forged, fail_at=k + 1)) == k
 
-    def test_a_hash_that_raises_on_a_worker_raises_on_the_walk(self):
-        """A record whose header cannot be packed raises on the walking thread,
-        as it does in place, instead of leaving the walk waiting for a result."""
+    def test_a_hash_that_raises_on_a_worker_raises_on_the_walk(self, monkeypatch):
+        """A record whose header cannot be packed gets no result from the pool
+        and raises on the walking thread, as it does in place. Mislinked
+        itself, or placed after a mislinked record, it never raises and the
+        mislinked index is reported."""
         book = Ledger()
-        book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(ledger_mod._POOLED_MIN_PAYLOAD))
-        rec = book.records[1]
-        records = [book.records[0], LedgerRecord(1, -1, rec.kind, None, rec.payload, rec.prev_hash, rec.hash)]
-        for cpus in ((), frozenset({0, 1})):
+        for _ in range(2):
+            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(ledger_mod._POOLED_MIN_PAYLOAD))
+        genesis, first, second = book.records
+        unpackable = LedgerRecord(1, -1, first.kind, None, first.payload, first.prev_hash, first.hash)
+        mislinked = LedgerRecord(1, 1, first.kind, None, first.payload, b"\1" * 32, first.hash)
+        after = LedgerRecord(2, -1, second.kind, None, second.payload, second.prev_hash, second.hash)
+        both = LedgerRecord(1, -1, first.kind, None, first.payload, b"\1" * 32, first.hash)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert 1 not in ledger_mod._hash_apart([genesis, unpackable], cpus)
             with pytest.raises(struct.error):
-                _first_bad_index(iter(records), cpus)
+                ledger_mod._check_held([genesis, unpackable])
+            assert ledger_mod._check_held([genesis, mislinked, after]) == 1
+            assert ledger_mod._check_held([genesis, both, after]) == 1
+
+    def test_every_large_record_is_hashed_once_under_contention(self, monkeypatch):
+        """Eight workers on this machine's CPUs, most of them absent so their
+        workers run unpinned, with the interpreter lock passed as often as it
+        can be: every record gets exactly one hash and one entry."""
+        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
+        records = build_ledger(60, payload_size=64).records
+        hashed_ids = []
+        real = ledger_mod._hash_matches
+        monkeypatch.setattr(ledger_mod, "_hash_matches", lambda rec: hashed_ids.append(rec.index) or real(rec))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found = ledger_mod._hash_apart(records, set(range(os.cpu_count(), os.cpu_count() + 7)) | {0})
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == {i: True for i in range(len(records))}
+        assert sorted(hashed_ids) == list(range(len(records)))
 
     def test_a_small_dump_starts_no_thread(self):
         """Below the pool's threshold verify_dump_bytes neither imports
@@ -422,6 +446,18 @@ class TestTamperDetection:
         """The same faults with every record hashed on a two-worker pool."""
         monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        self.test_every_single_fault_agrees_with_the_independent_reader(fault, tmp_path)
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["edit 0x01", "edit 0x5a", "edit 0xff", "truncate", "length"],
+    )
+    def test_every_single_fault_agrees_when_the_workers_hash_nothing(self, fault, tmp_path, monkeypatch):
+        """The same faults with every record due for the pool but no result
+        from it: the walk hashes each record in place."""
+        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ledger_mod, "_hash_apart", lambda records, cpus: {})
         self.test_every_single_fault_agrees_with_the_independent_reader(fault, tmp_path)
 
     def test_any_affinity_set_gives_the_same_index(self, monkeypatch):
