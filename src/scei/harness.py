@@ -243,9 +243,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     optionally write outputs."""
     with _one_blas_thread():
         ds = _build_dataset(cfg)
-        splits = partition_non_iid(ds, cfg.partition)
-        if cfg.partition.skew_ratio > 0:
-            splits = inject_skew(splits, ds, cfg.partition)
+        splits = inject_skew(partition_non_iid(ds, cfg.partition), ds, cfg.partition)
 
         init_weights = init_params(cfg.arch, derive_seed(cfg.seed, _INIT_TAG))
         nodes = _build_nodes(cfg, splits, init_weights)
@@ -511,8 +509,9 @@ CONFIG_TABLE = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; blank lines ignored."""
-    raw = {}
+    """Flat `key = value` lines; '#' starts a comment; blank lines ignored;
+    each key at most once."""
+    raw, lines = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -523,8 +522,19 @@ def parse_config_file(path) -> dict:
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key not in CONFIG_TABLE:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {lines[key]}")
+            raw[key], lines[key] = value, lineno
     return raw
+
+
+def _check_outputs(out, ledger_out) -> None:
+    """Each output file lies in an existing directory, and the two are not one file."""
+    for key, path in (("out", out), ("ledger_out", ledger_out)):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ValueError(f"{key} {path!r} lies in no existing directory")
+    if out and ledger_out and os.path.realpath(out) == os.path.realpath(ledger_out):
+        raise ValueError(f"out {out!r} and ledger_out {ledger_out!r} name one file")
 
 
 def build_config(raw: dict, **overrides) -> ExperimentConfig:
@@ -567,6 +577,7 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
         part(lambda num_classes, per_class, **spec: check_partition(num_classes * per_class, num_classes, **spec),
              dict(num_nodes="nodes", samples_per_node="samples_per_node", labels_per_node="labels_per_node",
                   num_classes="synthetic_classes", per_class="synthetic_per_class"))
+    part(_check_outputs, dict(out="out", ledger_out="ledger_out"))
     return part(
         ExperimentConfig,
         dict(scheme="scheme", fixed_alpha="fixed_alpha", hidden="hidden", rounds="rounds",

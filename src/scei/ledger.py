@@ -39,11 +39,6 @@ GENESIS_PREV_HASH = b"\x00" * HASH_LEN
 _HEADER = struct.Struct("<QQBBQQ")
 _FIXED_OVERHEAD = _HEADER.size + 2 * HASH_LEN  # header + prev_hash + hash
 
-# Records with a payload this large are hashed on the chain check's worker
-# threads. A worker hashing a smaller one would spend much of its time waiting
-# for the interpreter lock, so those are hashed in place by the walk.
-_POOLED_MIN_PAYLOAD = 256 * 1024
-
 
 class LedgerFormatError(ValueError):
     """Serialized ledger bytes violate the documented layout."""
@@ -182,22 +177,19 @@ def _usable_cpus():
 
 
 def _hash_apart(records, cpus) -> dict:
-    """Position -> whether the record there hashes to its stored hash, for each
-    record whose payload reaches _POOLED_MIN_PAYLOAD.
+    """Position -> whether the record there hashes to its stored hash, for
+    every record.
 
-    With two or more cpus those records are hashed on one thread per CPU,
-    each pinned to its CPU where the system lets it (an OSError leaves it
-    unpinned) and taking the next position from one shared iterator; with
-    fewer, or no such record, no thread starts and the map is empty. A record
+    The records are hashed on one thread per CPU, never more threads than
+    records, each pinned to its CPU where the system lets it (an OSError
+    leaves it unpinned) and taking the next position from one shared
+    iterator; with no cpus no thread starts and the map is empty. A record
     whose hash raises gets no entry, so the walk raises when it reaches it.
     """
     hashed = {}
-    positions = [i for i, rec in enumerate(records) if len(rec.payload) >= _POOLED_MIN_PAYLOAD]
-    if len(cpus) < 2 or not positions:
-        return hashed
-    # next() on a list iterator and a dict store are each one step under the
+    # next() on a range iterator and a dict store are each one step under the
     # interpreter lock, so every position goes to exactly one thread
-    todo = iter(positions)
+    todo = iter(range(len(records)))
 
     def serve(cpu):
         with contextlib.suppress(OSError):
@@ -206,7 +198,7 @@ def _hash_apart(records, cpus) -> dict:
             with contextlib.suppress(Exception):  # the walk hashes record i again and raises
                 hashed[i] = _hash_matches(records[i])
 
-    threads = [threading.Thread(target=serve, args=(cpu,)) for cpu in sorted(cpus)]
+    threads = [threading.Thread(target=serve, args=(cpu,)) for cpu in sorted(cpus)[: len(records)]]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -245,8 +237,8 @@ def _first_bad_index(records, hashed=None):
 
 def _check_held(records) -> int | None:
     """First bad index of a chain held in memory, as _first_bad_index gives it:
-    the walked records are collected, the large ones hashed across the usable
-    CPUs, and then the walk checks them all in order. A walker that raised
+    the walked records are collected, all of them hashed across the usable
+    CPUs, and then the walk checks them in order. A walker that raised
     LedgerFormatError marks the index after the last record it gave."""
     held, malformed = [], False
     try:
@@ -287,9 +279,9 @@ class Ledger:
     def verify_chain(self) -> int | None:
         """None when the chain is intact, else the first bad record index.
 
-        Records of 256 KiB of payload or more are hashed on worker threads,
-        one per usable CPU, before the walk checks every record in order; the
-        index is the one a record-by-record check gives.
+        Every record is hashed on worker threads, one per usable CPU, before
+        the walk checks the records in order; the index is the one a
+        record-by-record check gives.
         """
         return _check_held(self.records)
 
@@ -344,10 +336,9 @@ def verify_dump_bytes(blob: bytes) -> int | None:
 
     A frame that cannot be parsed marks its own index bad, unless an earlier
     record already failed; the records only live for this check, so they stay
-    views into blob. Since the whole dump is in memory, records of 256 KiB of
-    payload or more are hashed on worker threads, one per usable CPU, before
-    the walk checks every record in order; the index is the one a
-    record-by-record check gives.
+    views into blob. Since the whole dump is in memory, every record is
+    hashed on worker threads, one per usable CPU, before the walk checks the
+    records in order; the index is the one a record-by-record check gives.
     """
     return _check_held(_walk(*_blob_reader(blob, owned=False)))
 

@@ -18,11 +18,15 @@ from .model import MlpArchitecture, TrainingConfig, evaluate_split, sgd_train, s
 _TRAIN_TAG = 11
 _NOISE_TAG = 12
 
-# Most parameter bytes one stacked sgd_train call takes. Stacking pays off
-# where a step costs numpy call overhead; once a stack outgrows the core's
-# cache it trains slower than its nodes one by one (199,210 parameters,
-# 10 nodes, one epoch of 200 samples, on a 2-core Xeon with 2 MiB of L2 per
-# core: 0.23 s stacked, 0.18 s one by one; stacks of 1-3 nodes tie).
+# Most parameter bytes one stacked sgd_train call takes: a memory guard, not
+# a speed rule. A stack holds its nodes' parameters and gradients at once, so
+# the cap bounds that memory. Speed barely depends on it (the benchmark's
+# wide shape: 199,210 parameters, 10 nodes, seed 1, 2-vCPU box, one BLAS
+# thread, median of 15 alternating reps): one local_round took 0.129, 0.132,
+# 0.132 and 0.142 s at 1, 2 (this cap), 5 and 10 nodes per stack, with the
+# same uploads. With no cap, 12-round experiments of that shape ran 2-3% more
+# rounds per second with the same head hashes, but the benchmark's
+# wide_mlp_ledger peak RSS rose 362 -> 389 MB (+7%).
 _STACK_BYTES = 4 * 2**20
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 from click.testing import CliRunner
 
+import scei.harness as harness
 from scei.cli import main
 from scei.ledger import Ledger, RecordKind
 
@@ -26,8 +27,12 @@ seed = 3
 
 
 def write_config(tmp_path, extra=""):
+    """CONFIG with extra's lines in place of its lines for the same keys: a
+    config file sets each key once."""
+    given = {line.split("=")[0].strip() for line in extra.splitlines()}
+    kept = [line for line in CONFIG.splitlines() if line.split("=")[0].strip() not in given]
     path = tmp_path / "exp.cfg"
-    path.write_text(CONFIG + extra)
+    path.write_text("\n".join(kept) + "\n" + extra)
     return path
 
 
@@ -79,6 +84,31 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output == f"Error: {message}\n"
+
+    def test_a_key_given_twice_ends_as_one_line(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(CONFIG + "rounds = 5\n")
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {cfg}:16: key 'rounds' already set on line 11\n"
+
+    def test_output_paths_are_refused_before_any_round(self, tmp_path, monkeypatch):
+        """One file named by both outputs, or an output in a missing directory,
+        ends as one line before any data is generated, and writes nothing."""
+        generated = []
+        monkeypatch.setattr(harness, "generate_synthetic", lambda *args: generated.append(args))
+        cfg = str(write_config(tmp_path))
+        same = str(tmp_path / "same.out")
+        missing = str(tmp_path / "nodir" / "x.csv")
+        for flags, cause in (
+            (["--out", same, "--ledger-out", same], f"out {same!r} and ledger_out {same!r} name one file"),
+            (["--out", missing], f"out {missing!r} lies in no existing directory"),
+        ):
+            result = CliRunner().invoke(main, ["run", "--config", cfg, *flags])
+            assert result.exit_code == 1
+            assert result.output == f"Error: config keys 'out', 'ledger_out': {cause}\n"
+        assert not generated
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 class TestVerifyLedgerCommand:

@@ -502,6 +502,46 @@ attacks = 1:noise:10.0:1, 3:signflip:2
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(path)
 
+    def test_a_key_given_twice_is_refused(self, tmp_path):
+        """The second occurrence is refused with both line numbers, instead of
+        silently winning over the first."""
+        path = tmp_path / "exp.cfg"
+        path.write_text("rounds = 20\nseed = 3\n# rounds = 5\nrounds = 2\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(path)
+        assert str(exc.value) == f"{path}:4: key 'rounds' already set on line 1"
+
+    def test_output_paths_are_checked_before_the_run(self, tmp_path, monkeypatch):
+        """Two outputs naming one file, or an output in a directory that does
+        not exist, are refused by build_config under both output keys."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        for out, ledger_out, cause in (
+            ("same.out", "same.out", "out 'same.out' and ledger_out 'same.out' name one file"),
+            ("same.out", "./sub/../same.out", "out 'same.out' and ledger_out './sub/../same.out' name one file"),
+            ("nodir/x.csv", None, "out 'nodir/x.csv' lies in no existing directory"),
+            (None, str(tmp_path / "nodir" / "x.bin"), f"ledger_out '{tmp_path}/nodir/x.bin' lies in no existing directory"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                build_config({}, out=out, ledger_out=ledger_out)
+            assert str(exc.value) == f"config keys 'out', 'ledger_out': {cause}"
+        cfg = build_config({}, out="metrics.csv", ledger_out="sub/ledger.bin")
+        assert (cfg.output_path, cfg.ledger_path) == ("metrics.csv", "sub/ledger.bin")
+
+    def test_the_table_defaults_are_the_dataclass_defaults(self):
+        """CONFIG_TABLE restates ExperimentConfig's defaults (grid, policy,
+        attacks, fixed_alpha, seed, outputs) as text; the two agree."""
+        built = build_config({})
+        direct = ExperimentConfig(
+            scheme=built.scheme,
+            dataset=built.dataset,
+            partition=built.partition,
+            hidden=built.hidden,
+            training=built.training,
+            rounds=built.rounds,
+        )
+        assert built == direct
+
     def test_attack_spec_errors(self):
         for text, message in (
             ("1:noise:1", "noise attack '1:noise:1' needs node:noise:sigma:start"),

@@ -317,12 +317,12 @@ class TestTamperDetection:
         assert _first_bad_index(iter(())) == (0, 0)
 
     def test_the_pooled_check_reports_the_first_fault(self, monkeypatch):
-        """Records of 256 KiB are hashed apart first, every one of them: with a
-        hash fault at k the pool finds k and the records past it, the check
-        reports k, and a malformed frame right after the fault does not hide it."""
+        """Every record is hashed apart first: with a hash fault at k the pool
+        finds k and the records past it, the check reports k, and a malformed
+        frame right after the fault does not hide it."""
         book = Ledger()
         for i in range(1, 14):
-            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * ledger_mod._POOLED_MIN_PAYLOAD)
+            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
         def stream(recs, fail_at=None):
@@ -336,7 +336,7 @@ class TestTamperDetection:
             forged = book.records[:]
             rec = forged[k]
             forged[k] = LedgerRecord(rec.index, rec.round_no, rec.kind, None, b"\0" + rec.payload[1:], rec.prev_hash, rec.hash)
-            assert ledger_mod._hash_apart(forged, {0, 1}) == {i: i != k for i in range(1, 14)}
+            assert ledger_mod._hash_apart(forged, {0, 1}) == {i: i != k for i in range(14)}
             assert ledger_mod._check_held(stream(forged)) == k
             assert ledger_mod._check_held(stream(forged, fail_at=k + 1)) == k
 
@@ -347,7 +347,7 @@ class TestTamperDetection:
         mislinked index is reported."""
         book = Ledger()
         for _ in range(2):
-            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(ledger_mod._POOLED_MIN_PAYLOAD))
+            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(64))
         genesis, first, second = book.records
         unpackable = LedgerRecord(1, -1, first.kind, None, first.payload, first.prev_hash, first.hash)
         mislinked = LedgerRecord(1, 1, first.kind, None, first.payload, b"\1" * 32, first.hash)
@@ -365,7 +365,6 @@ class TestTamperDetection:
         """Eight workers on this machine's CPUs, most of them absent so their
         workers run unpinned, with the interpreter lock passed as often as it
         can be: every record gets exactly one hash and one entry."""
-        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
         records = build_ledger(60, payload_size=64).records
         hashed_ids = []
         real = ledger_mod._hash_matches
@@ -379,25 +378,29 @@ class TestTamperDetection:
         assert found == {i: True for i in range(len(records))}
         assert sorted(hashed_ids) == list(range(len(records)))
 
-    def test_a_small_dump_starts_no_thread(self):
-        """Below the pool's threshold verify_dump_bytes neither imports
-        concurrent.futures nor starts a thread; a large record starts one
-        worker per CPU."""
+    def test_workers_follow_the_usable_cpus(self):
+        """verify_dump_bytes never imports concurrent.futures; a 3-record dump
+        starts two workers on two usable CPUs, one on one CPU, and none where
+        the platform cannot say which CPUs are usable."""
         script = (
             "import os, sys, threading\n"
             "started = []\n"
             "start = threading.Thread.start\n"
             "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "from scei.ledger import Ledger, RecordKind, verify_dump_bytes\n"
             "book = Ledger()\n"
-            "for i in range(3):\n"
-            "    book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(256 * 1024 - 1))\n"
-            "assert verify_dump_bytes(book.to_bytes()) is None\n"
-            "print('concurrent.futures' in sys.modules, len(started))\n"
-            "book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(256 * 1024))\n"
-            "assert verify_dump_bytes(book.to_bytes()) is None\n"
-            "print(len(started))\n"
+            "for i in range(2):\n"
+            "    book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(64))\n"
+            "blob = book.to_bytes()\n"
+            "for cpus in ({0, 1}, {0}, None):\n"
+            "    if cpus is None:\n"
+            "        del os.sched_getaffinity\n"
+            "    else:\n"
+            "        os.sched_getaffinity = lambda pid, cpus=cpus: cpus\n"
+            "    started.clear()\n"
+            "    assert verify_dump_bytes(blob) is None\n"
+            "    print(len(started), end=' ')\n"
+            "print('concurrent.futures' in sys.modules)\n"
         )
         path = os.path.dirname(os.path.dirname(ledger_mod.__file__))
         done = subprocess.run(
@@ -407,7 +410,7 @@ class TestTamperDetection:
             text=True,
             check=True,
         )
-        assert done.stdout.split("\n")[:2] == ["False 0", "2"]
+        assert done.stdout == "2 1 0 False\n"
 
     @pytest.mark.parametrize(
         "fault",
@@ -444,7 +447,6 @@ class TestTamperDetection:
     )
     def test_every_single_fault_agrees_on_the_pool(self, fault, tmp_path, monkeypatch):
         """The same faults with every record hashed on a two-worker pool."""
-        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         self.test_every_single_fault_agrees_with_the_independent_reader(fault, tmp_path)
 
@@ -455,7 +457,6 @@ class TestTamperDetection:
     def test_every_single_fault_agrees_when_the_workers_hash_nothing(self, fault, tmp_path, monkeypatch):
         """The same faults with every record due for the pool but no result
         from it: the walk hashes each record in place."""
-        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(ledger_mod, "_hash_apart", lambda records, cpus: {})
         self.test_every_single_fault_agrees_with_the_independent_reader(fault, tmp_path)
@@ -465,7 +466,6 @@ class TestTamperDetection:
         workers run unpinned, report what the in-place check reports, with the
         interpreter lock passed between the workers and the walk as often as
         it can be."""
-        monkeypatch.setattr(ledger_mod, "_POOLED_MIN_PAYLOAD", 0)
         own, lacking = min(os.sched_getaffinity(0)), os.cpu_count()
         affinities = ({own}, {own, lacking}, {own, lacking, lacking + 1, lacking + 2})
         blob = build_ledger(8, payload_size=40).to_bytes()
@@ -541,9 +541,7 @@ class TestLoaderAgreement:
     @settings(max_examples=300, deadline=None)
     def test_file_and_buffer_loaders_agree_on_the_pool(self, kind, a, b):
         """The same, with every record of both checks hashed on a two-worker pool."""
-        with mock.patch.object(ledger_mod, "_POOLED_MIN_PAYLOAD", 0), mock.patch.object(
-            os, "sched_getaffinity", lambda pid: {0, 1}
-        ):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}):
             _assert_loaders_agree(_edited(kind, a, b))
 
 
