@@ -8,7 +8,7 @@ averaging, where there is no defence at all.
 
 from scei import AdditiveNoise, PartitionSpec, Scheme, SyntheticSource, run_experiment
 from scei.harness import ExperimentConfig
-from scei.ledger import RecordKind, decode_node_set
+from scei.ledger import RecordKind
 from scei.model import TrainingConfig
 
 ATTACKS = (
@@ -39,8 +39,8 @@ def honest_mean(result, round_no):
 print("scei with defence:")
 guarded = run_experiment(config(Scheme.SCEI, ATTACKS))
 for round_no in range(1, 31):
-    flags = decode_node_set(guarded.ledger.query_round(round_no, RecordKind.SUSPICION_SET)[0].payload)
-    expelled = [r.node_id for r in guarded.ledger.query_round(round_no, RecordKind.EXPULSION)]
+    [(_, flags)] = guarded.ledger.read(round_no, RecordKind.SUSPICION_SET)
+    expelled = [node_id for node_id, _ in guarded.ledger.read(round_no, RecordKind.EXPULSION)]
     if flags or expelled:
         note = f"flags {list(flags)}" + (f", EXPELLED {expelled}" if expelled else "")
         print(f"  round {round_no:2d}: {note}")

@@ -12,6 +12,7 @@ sees fresh foreign-class data.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -130,25 +131,30 @@ def _read_be_u32(buf: bytes, offset: int, path) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def _read_idx(path, magic: int, what: str) -> np.ndarray:
-    """One IDX file as a uint8 array of its declared shape.
+def _idx_shape(f, path, magic: int, what: str) -> list:
+    """The shape that an open IDX file declares, leaving f at its data.
 
     The big-endian magic's low byte is the dimension count; one u32 size per
     dimension follows, then exactly that many bytes of data.
     """
-    with open(path, "rb") as f:
-        buf = f.read()
-    found = _read_be_u32(buf, 0, path)
+    found = _read_be_u32(f.read(4), 0, path)
     if found != magic:
         raise IdxFormatError(f"{path}: wrong magic: expected {magic:#010x}, got {found:#010x}")
-    shape = [_read_be_u32(buf, 4 + 4 * i, path) for i in range(magic & 0xFF)]
-    offset = 4 + 4 * len(shape)
-    expected = offset + math.prod(shape)
-    if len(buf) < expected:
-        raise IdxFormatError(f"{path}: truncated {what} data ({len(buf)} bytes, need {expected})")
-    if len(buf) > expected:
+    dims = f.read(4 * (magic & 0xFF))
+    shape = [_read_be_u32(dims, 4 * i, path) for i in range(magic & 0xFF)]
+    size, expected = os.fstat(f.fileno()).st_size, 4 + len(dims) + math.prod(shape)
+    if size < expected:
+        raise IdxFormatError(f"{path}: truncated {what} data ({size} bytes, need {expected})")
+    if size > expected:
         raise IdxFormatError(f"{path}: trailing bytes after {what} data")
-    return np.frombuffer(buf, dtype=np.uint8, offset=offset).reshape(shape)
+    return shape
+
+
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """One IDX file as a uint8 array of its declared shape."""
+    with open(path, "rb") as f:
+        shape = _idx_shape(f, path, magic, what)
+        return np.frombuffer(f.read(), dtype=np.uint8).reshape(shape)
 
 
 def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
@@ -164,6 +170,25 @@ def load_mnist_idx(images_path, labels_path) -> LabeledDataset:
     n_images, rows, cols = images.shape
     features = images.reshape(n_images, rows * cols).astype(np.float64) / 255.0
     return LabeledDataset(features, labels.astype(np.int64))
+
+
+def check_mnist_idx(images_path, labels_path, input_dim, num_classes) -> tuple:
+    """(examples, distinct labels) of an IDX pair that a model of input_dim
+    inputs and num_classes outputs fits, read from the image header and the
+    label bytes alone; a pair that cannot be read or does not fit is refused."""
+    try:
+        with open(images_path, "rb") as f:
+            count, rows, cols = _idx_shape(f, images_path, IMAGE_MAGIC, "pixel")
+        labels = _read_idx(labels_path, LABEL_MAGIC, "label")
+    except OSError as exc:
+        raise ValueError(f"cannot read {exc.filename}: {exc.strerror}") from exc
+    if count != len(labels):
+        raise IdxFormatError(f"count mismatch: {count} images vs {len(labels)} labels")
+    if rows * cols != input_dim:
+        raise ValueError(f"{images_path}: {rows} x {cols} images give {rows * cols} inputs, the model takes {input_dim}")
+    if len(labels) and labels.max() >= num_classes:
+        raise ValueError(f"{labels_path}: label {labels.max()} outside [0, {num_classes})")
+    return count, len(np.unique(labels))
 
 
 def check_synthetic(num_classes, per_class, input_dim, separation) -> None:

@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import contract, ledger as ledger_mod, node as node_mod
+from . import contract, node as node_mod
 from .contract import AccuracyMatrix, AggregationError, ContractState, NegotiationGrid, Policy, build_grid
 from .data import (
     LabeledDataset,
     PartitionSpec,
+    check_mnist_idx,
     check_partition,
     check_synthetic,
     generate_synthetic,
@@ -249,10 +250,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         nodes = _build_nodes(cfg, splits, init_weights)
 
         book = Ledger()
-        book.append(0, RecordKind.GLOBAL_WEIGHTS, None, ledger_mod.encode_params(init_weights))
+        book.put(0, RecordKind.GLOBAL_WEIGHTS, None, init_weights)
         state = ContractState.fresh([n.node_id for n in nodes])
 
-        metrics, state = _run_rounds(nodes, book, state, cfg)
+        try:
+            metrics, state = _run_rounds(nodes, book, state, cfg)
+        except ExperimentAbort:
+            # the records up to the abort are the ones that explain it
+            if cfg.ledger_path:
+                book.write_dump(cfg.ledger_path)
+            raise
 
     if cfg.output_path:
         write_csv(metrics, cfg.output_path)
@@ -286,21 +293,18 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
         ledger_s = {}
         for node_id, upload in zip(active, trained):
             start = time.perf_counter()
-            book.append(round_no, RecordKind.LOCAL_WEIGHTS, node_id, ledger_mod.encode_params(upload))
+            book.put(round_no, RecordKind.LOCAL_WEIGHTS, node_id, upload)
             ledger_s[node_id] = time.perf_counter() - start
-        uploads = {
-            rec.node_id: ledger_mod.decode_params(rec.payload)
-            for rec in book.query_round(round_no, RecordKind.LOCAL_WEIGHTS)
-        }
+        uploads = dict(book.read(round_no, RecordKind.LOCAL_WEIGHTS))
 
         # phase 2: screening
         flagged, expelled = frozenset(), ()
         if screened:
             report, state, expelled = contract.screen(uploads, state, round_no, cfg.rounds)
             flagged = report.flagged
-            book.append(round_no, RecordKind.SUSPICION_SET, None, ledger_mod.encode_node_set(flagged))
+            book.put(round_no, RecordKind.SUSPICION_SET, None, flagged)
             for node_id in expelled:
-                book.append(round_no, RecordKind.EXPULSION, node_id, b"")
+                book.put(round_no, RecordKind.EXPULSION, node_id, None)
 
         # phase 3: aggregation of the unflagged uploads
         global_weights = None
@@ -309,10 +313,8 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                 global_weights = contract.robust_aggregate(uploads, flagged)
             except AggregationError as exc:
                 raise ExperimentAbort(f"round {round_no}: {exc}") from exc
-            book.append(round_no, RecordKind.GLOBAL_WEIGHTS, None, ledger_mod.encode_params(global_weights))
-            global_weights = ledger_mod.decode_params(
-                book.query_round(round_no, RecordKind.GLOBAL_WEIGHTS)[0].payload
-            )
+            book.put(round_no, RecordKind.GLOBAL_WEIGHTS, None, global_weights)
+            [(_, global_weights)] = book.read(round_no, RecordKind.GLOBAL_WEIGHTS)
 
         # phase 4: candidate evaluation and negotiation by the unflagged nodes
         alpha, candidate_acc = fixed_alpha, {}
@@ -324,29 +326,13 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                 accuracies = node_mod.evaluate_candidates(by_id[node_id], cfg.arch, global_weights, cfg.grid)
                 negotiate_s[node_id] = time.perf_counter() - start
                 start = time.perf_counter()
-                book.append(
-                    round_no,
-                    RecordKind.ACCURACY_LIST,
-                    node_id,
-                    ledger_mod.encode_accuracy_list(cfg.grid.alphas, accuracies),
-                )
+                book.put(round_no, RecordKind.ACCURACY_LIST, node_id, (cfg.grid.alphas, accuracies))
                 ledger_s[node_id] += time.perf_counter() - start
 
-            rows = sorted(
-                (rec.node_id, ledger_mod.decode_accuracy_list(rec.payload)[1])
-                for rec in book.query_round(round_no, RecordKind.ACCURACY_LIST)
-            )
+            rows = sorted((node_id, accs) for node_id, (_, accs) in book.read(round_no, RecordKind.ACCURACY_LIST))
             matrix = AccuracyMatrix(node_ids=[r[0] for r in rows], values=np.array([r[1] for r in rows]))
-            alpha, grid_index = contract.negotiate_alpha(matrix, cfg.grid, cfg.policy)
-            book.append(
-                round_no,
-                RecordKind.ALPHA_DECISION,
-                None,
-                ledger_mod.encode_alpha_decision(alpha, grid_index),
-            )
-            alpha = ledger_mod.decode_alpha_decision(
-                book.query_round(round_no, RecordKind.ALPHA_DECISION)[0].payload
-            )[0]
+            book.put(round_no, RecordKind.ALPHA_DECISION, None, contract.negotiate_alpha(matrix, cfg.grid, cfg.policy))
+            [(_, (alpha, grid_index))] = book.read(round_no, RecordKind.ALPHA_DECISION)
             candidate_acc = {node_id: accs[grid_index] for node_id, accs in rows}
 
         # phase 5: personalization and metrics; a node expelled this round
@@ -529,10 +515,12 @@ def parse_config_file(path) -> dict:
 
 
 def _check_outputs(out, ledger_out) -> None:
-    """Each output file lies in an existing directory, and the two are not one file."""
+    """Each output file lies in an existing directory and is not one, and the two are not one file."""
     for key, path in (("out", out), ("ledger_out", ledger_out)):
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ValueError(f"{key} {path!r} lies in no existing directory")
+        if path and os.path.isdir(path):
+            raise ValueError(f"{key} {path!r} is a directory")
     if out and ledger_out and os.path.realpath(out) == os.path.realpath(ledger_out):
         raise ValueError(f"out {out!r} and ledger_out {ledger_out!r} name one file")
 
@@ -572,11 +560,18 @@ def build_config(raw: dict, **overrides) -> ExperimentConfig:
     partition = part(PartitionSpec, dict(num_nodes="nodes", samples_per_node="samples_per_node",
                                          labels_per_node="labels_per_node", skew_ratio="skew_ratio",
                                          rng_seed="seed"))
+    # the example and label counts are known before any data is built: a
+    # synthetic dataset's from its keys, MNIST's from the image header and the
+    # label bytes, once the files are found to fit the model
     if isinstance(dataset, SyntheticSource):
-        # its example and label counts are known before any data exists
-        part(lambda num_classes, per_class, **spec: check_partition(num_classes * per_class, num_classes, **spec),
-             dict(num_nodes="nodes", samples_per_node="samples_per_node", labels_per_node="labels_per_node",
-                  num_classes="synthetic_classes", per_class="synthetic_per_class"))
+        count_keys = dict(num_classes="synthetic_classes", per_class="synthetic_per_class")
+        counts = (dataset.num_classes * dataset.per_class, dataset.num_classes)
+    else:
+        count_keys = dict(images_path="mnist_images", labels_path="mnist_labels")
+        counts = part(check_mnist_idx, count_keys, input_dim=dataset.input_dim, num_classes=dataset.num_classes)
+    part(lambda num_nodes, samples_per_node, labels_per_node, **_: check_partition(
+             *counts, num_nodes, samples_per_node, labels_per_node),
+         dict(num_nodes="nodes", samples_per_node="samples_per_node", labels_per_node="labels_per_node", **count_keys))
     part(_check_outputs, dict(out="out", ledger_out="ledger_out"))
     return part(
         ExperimentConfig,

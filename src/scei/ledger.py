@@ -288,6 +288,14 @@ class Ledger:
     def query_round(self, round_no: int, kind: RecordKind) -> list:
         return [r for r in self.records if r.round_no == round_no and r.kind is kind]
 
+    def put(self, round_no: int, kind: RecordKind, node_id, value) -> LedgerRecord:
+        """Append value, encoded in the payload layout of its kind."""
+        return self.append(round_no, kind, node_id, _PAYLOADS[kind][0](value))
+
+    def read(self, round_no: int, kind: RecordKind) -> list:
+        """(node id, decoded value) of each record of that round and kind, in ledger order."""
+        return [(rec.node_id, _PAYLOADS[kind][1](rec.payload)) for rec in self.query_round(round_no, kind)]
+
     def _frame_parts(self):
         """Every dump frame as its pieces: u32 length, header, payload, prev hash, hash."""
         for rec in self.records:
@@ -425,3 +433,21 @@ def decode_node_set(payload: bytes):
         if node_id <= prev:
             raise LedgerFormatError(f"node set ids not strictly ascending: {node_id} after {prev}")
     return ids
+
+
+def _decode_empty(payload: bytes) -> None:
+    if len(payload):
+        raise LedgerFormatError(f"expulsion payload must be empty, got {len(payload)} bytes")
+
+
+# kind -> (encode, decode) of the values that Ledger.put and Ledger.read carry.
+# Each codec is looked up by name when called, so one rebound on this module
+# (a tracer wraps encode_params and decode_params) is the one used.
+_PAYLOADS = {
+    RecordKind.LOCAL_WEIGHTS: (lambda weights: encode_params(weights), lambda p: decode_params(p)),
+    RecordKind.GLOBAL_WEIGHTS: (lambda weights: encode_params(weights), lambda p: decode_params(p)),
+    RecordKind.ACCURACY_LIST: (lambda pairs: encode_accuracy_list(*pairs), lambda p: decode_accuracy_list(p)),
+    RecordKind.ALPHA_DECISION: (lambda choice: encode_alpha_decision(*choice), lambda p: decode_alpha_decision(p)),
+    RecordKind.SUSPICION_SET: (lambda ids: encode_node_set(ids), lambda p: decode_node_set(p)),
+    RecordKind.EXPULSION: (lambda _: b"", _decode_empty),
+}

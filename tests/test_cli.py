@@ -6,7 +6,8 @@ from click.testing import CliRunner
 
 import scei.harness as harness
 from scei.cli import main
-from scei.ledger import Ledger, RecordKind
+from scei.ledger import Ledger, RecordKind, verify_dump_file
+from test_data import write_mnist_pair
 
 CONFIG = """
 scheme = scei
@@ -109,6 +110,52 @@ class TestRunCommand:
             assert result.output == f"Error: config keys 'out', 'ledger_out': {cause}\n"
         assert not generated
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("key", ["out", "ledger_out"])
+    def test_a_config_file_output_naming_a_directory_ends_as_one_line(self, tmp_path, monkeypatch, key):
+        """A directory given as an output in the file, where no click check
+        sees it, ends as one line before any data is generated."""
+        generated = []
+        monkeypatch.setattr(harness, "generate_synthetic", lambda *args: generated.append(args))
+        result = CliRunner().invoke(main, ["run", "--config", str(write_config(tmp_path, f"{key} = {tmp_path}"))])
+        assert result.exit_code == 1
+        assert result.output == f"Error: config keys 'out', 'ledger_out': {key} {str(tmp_path)!r} is a directory\n"
+        assert not generated
+
+
+def mnist_config(tmp_path, images, labels):
+    """CONFIG on the MNIST source: 5 nodes of 100 examples, 2 labels each, hidden 8 x 8, 1 round."""
+    return write_config(
+        tmp_path,
+        f"dataset = mnist\nmnist_images = {images}\nmnist_labels = {labels}\n"
+        "nodes = 5\nsamples_per_node = 100\nlabels_per_node = 2\nhidden = 8,8\nrounds = 1\n",
+    )
+
+
+class TestMnistRun:
+    def test_a_generated_pair_runs_end_to_end(self, tmp_path):
+        """The MNIST source runs a round on generated 28 x 28 IDX files, no download needed."""
+        out, dump = tmp_path / "metrics.csv", tmp_path / "ledger.bin"
+        cfg = mnist_config(tmp_path, *write_mnist_pair(tmp_path))
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(out), "--ledger-out", str(dump)])
+        assert result.exit_code == 0, result.output
+        assert "scei: 1 rounds, 5 nodes" in result.output
+        assert len(out.read_text().splitlines()) == 1 + 5
+        bad, count = verify_dump_file(dump)
+        assert bad is None
+        assert Ledger.read_dump(dump).read(0, RecordKind.GLOBAL_WEIGHTS)[0][1].size == 784 * 8 + 8 + 8 * 8 + 8 + 8 * 10 + 10
+
+    @pytest.mark.parametrize("case", ["4x3 images", "labels 0-11", "missing labels", "swapped"])
+    def test_files_that_do_not_fit_end_as_one_line(self, tmp_path, case):
+        images, labels = write_mnist_pair(tmp_path, *{"4x3 images": (4, 3), "labels 0-11": (28, 28, 12)}.get(case, ()))
+        if case == "missing labels":
+            labels.unlink()
+        if case == "swapped":
+            images, labels = labels, images
+        result = CliRunner().invoke(main, ["run", "--config", str(mnist_config(tmp_path, images, labels))])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: config keys 'mnist_images', 'mnist_labels': ")
+        assert result.output.count("\n") == 1
 
 
 class TestVerifyLedgerCommand:

@@ -39,6 +39,13 @@ def write_idx_pair(tmp_path, images, labels, image_magic=IMAGE_MAGIC, label_magi
     return images_path, labels_path
 
 
+def write_mnist_pair(tmp_path, rows=28, cols=28, classes=10):
+    """3,000 seeded rows x cols images whose labels cycle through 0..classes-1;
+    at the defaults the pair fits the MNIST source."""
+    images = np.random.default_rng(0).integers(0, 256, (3000, rows, cols))
+    return write_idx_pair(tmp_path, images, np.arange(3000) % classes)
+
+
 class TestLabeledDataset:
     def test_row_count_must_match_labels(self):
         with pytest.raises(ValueError):

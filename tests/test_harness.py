@@ -28,9 +28,10 @@ from scei.harness import (
     write_csv,
     _run_rounds,
 )
-from scei.ledger import Ledger, RecordKind, decode_alpha_decision, decode_params, encode_params
+from scei.ledger import Ledger, RecordKind, decode_alpha_decision, decode_params, encode_params, verify_dump_file
 from scei.model import MlpArchitecture, TrainingConfig, init_params
 from scei.node import AdditiveNoise, NodeState, SignFlip
+from test_data import write_mnist_pair
 
 SAMPLE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_scei.cfg")
 
@@ -689,3 +690,85 @@ def test_edge_value_runs_or_is_refused_by_name(key, edits, monkeypatch, tmp_path
     else:
         assert edits[key] not in EDGE_REFUSED.get(key, ()), f"{edits} ran instead of being refused"
         assert {m.round_no for m in result.metrics} == {1}
+
+
+def test_an_aborted_run_leaves_its_dump(monkeypatch, tmp_path):
+    """A run that ends in ExperimentAbort still writes the records so far, so
+    the run whose cause matters most can be checked: here round 0, then round
+    1's uploads and the suspicion set that flagged every node."""
+    from scei.contract import DefenceReport
+
+    def flag_everyone(diffs, round_no, total_rounds, node_ids=None):
+        ids = list(node_ids)
+        return DefenceReport(dict(zip(ids, map(float, diffs))), 0.25, 0.75, 1.0, frozenset(ids))
+
+    monkeypatch.setattr("scei.harness.contract.detect_anomalies", flag_everyone)
+    dump = tmp_path / "ledger.bin"
+    with pytest.raises(ExperimentAbort, match="round 1"):
+        run_experiment(small_config(Scheme.SCEI, ledger_path=str(dump)))
+    assert verify_dump_file(dump) == (None, 7)
+    book = Ledger.read_dump(dump)
+    assert [(rec.round_no, rec.kind, rec.node_id) for rec in book.records[1:]] == [
+        (0, RecordKind.GLOBAL_WEIGHTS, None),
+        *((1, RecordKind.LOCAL_WEIGHTS, node_id) for node_id in range(4)),
+        (1, RecordKind.SUSPICION_SET, None),
+    ]
+    assert book.read(1, RecordKind.SUSPICION_SET) == [(None, (0, 1, 2, 3))]
+
+
+@pytest.mark.parametrize("key", ["out", "ledger_out"])
+def test_an_output_naming_a_directory_is_refused(key, tmp_path):
+    """A directory given as an output is refused before any data exists,
+    instead of ending in IsADirectoryError once every round has run."""
+    with pytest.raises(ValueError) as exc:
+        build_config({key: str(tmp_path)})
+    assert str(exc.value) == f"config keys 'out', 'ledger_out': {key} {str(tmp_path)!r} is a directory"
+
+
+MNIST_RAW = dict(dataset="mnist", nodes="5", samples_per_node="100", labels_per_node="2", hidden="8,8", rounds="1")
+MNIST_FILE_KEYS = "config keys 'mnist_images', 'mnist_labels': "
+
+
+class TestMnistChecks:
+    """IDX files that do not fit the model are refused by build_config, from
+    the image header and the label bytes, before any training."""
+
+    def refusal(self, images, labels, **edits):
+        with pytest.raises(ValueError) as exc:
+            build_config(dict(MNIST_RAW, mnist_images=str(images), mnist_labels=str(labels), **edits))
+        return str(exc.value)
+
+    def test_a_fitting_pair_builds(self, tmp_path):
+        images, labels = write_mnist_pair(tmp_path)
+        cfg = build_config(dict(MNIST_RAW, mnist_images=str(images), mnist_labels=str(labels)))
+        assert cfg.dataset == MnistSource(str(images), str(labels))
+
+    def test_images_of_another_size(self, tmp_path):
+        images, labels = write_mnist_pair(tmp_path, rows=4, cols=3)
+        assert self.refusal(images, labels) == f"{MNIST_FILE_KEYS}{images}: 4 x 3 images give 12 inputs, the model takes 784"
+
+    def test_labels_past_the_classes(self, tmp_path):
+        images, labels = write_mnist_pair(tmp_path, classes=12)
+        assert self.refusal(images, labels) == f"{MNIST_FILE_KEYS}{labels}: label 11 outside [0, 10)"
+
+    def test_a_missing_labels_file(self, tmp_path):
+        images, labels = write_mnist_pair(tmp_path)
+        labels.unlink()
+        assert self.refusal(images, labels) == f"{MNIST_FILE_KEYS}cannot read {labels}: No such file or directory"
+
+    def test_swapped_files(self, tmp_path):
+        images, labels = write_mnist_pair(tmp_path)
+        assert self.refusal(labels, images) == (
+            f"{MNIST_FILE_KEYS}{labels}: wrong magic: expected 0x00000803, got 0x00000801"
+        )
+
+    def test_a_partition_the_files_cannot_fill(self, tmp_path):
+        images, labels = write_mnist_pair(tmp_path)
+        assert self.refusal(images, labels, nodes="40") == (
+            "config keys 'nodes', 'samples_per_node', 'labels_per_node', 'mnist_images', 'mnist_labels': "
+            "dataset has 3000 examples, need at least 4000"
+        )
+        assert self.refusal(images, labels, labels_per_node="20", samples_per_node="120") == (
+            "config keys 'nodes', 'samples_per_node', 'labels_per_node', 'mnist_images', 'mnist_labels': "
+            "dataset has 10 labels, need 20 per node"
+        )

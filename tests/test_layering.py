@@ -116,3 +116,27 @@ def test_the_private_name_guard_sees_every_form():
     assert sorted(private_names_reached(tree)) == sorted(
         ["_walk", "_blob_reader", "_file_reader", "_TRAIN_TAG", "_fence", "_cache"]
     )
+
+
+def codec_names(tree: ast.AST):
+    """Every reference to a payload codec (encode_* or decode_*): as an
+    attribute, a bare name or an import."""
+    for node in ast.walk(tree):
+        name = getattr(node, {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node), ""), "")
+        if name.startswith(("encode_", "decode_")):
+            yield name
+
+
+def test_harness_puts_and_reads_values_only():
+    """Each record kind's payload layout lives in the ledger: the round loop
+    writes with Ledger.put and reads with Ledger.read, as an auditor would."""
+    path = SRC / "harness.py"
+    assert sorted(codec_names(ast.parse(path.read_text(), filename=str(path)))) == []
+
+
+def test_the_codec_guard_sees_every_reference_form():
+    tree = ast.parse(
+        "ledger_mod.encode_params(w)\nfrom .ledger import decode_node_set\ndecode_accuracy_list(p)\n"
+        "from scei.ledger import encode_alpha_decision as pack\nbook.put(1, kind, None, value)\nbook.read(1, kind)\n"
+    )
+    assert sorted(codec_names(tree)) == ["decode_accuracy_list", "decode_node_set", "encode_alpha_decision", "encode_params"]

@@ -645,3 +645,54 @@ class TestPayloadCodecs:
         expected = struct.pack("<Q", 4) + b"".join(struct.pack("<Q", n) for n in (0, 4, 9, 2**64 - 1))
         assert encode_node_set(ids) == expected
         assert encode_node_set([]) == struct.pack("<Q", 0)
+
+
+# a value of each non-genesis kind, with its payload packed by hand as README lays it out
+PUT_VALUES = {
+    RecordKind.LOCAL_WEIGHTS: (np.array([1.5, -0.0, np.inf]), struct.pack("<Q3d", 3, 1.5, -0.0, np.inf)),
+    RecordKind.GLOBAL_WEIGHTS: (np.array([np.nan, 5e-324]), struct.pack("<Q2d", 2, np.nan, 5e-324)),
+    RecordKind.ACCURACY_LIST: (((0.5, 0.75), (0.9, 1.0)), struct.pack("<Q4d", 2, 0.5, 0.9, 0.75, 1.0)),
+    RecordKind.ALPHA_DECISION: ((0.65, 3), struct.pack("<dQ", 0.65, 3)),
+    RecordKind.SUSPICION_SET: ((1, 4, 2**64 - 1), struct.pack("<4Q", 3, 1, 4, 2**64 - 1)),
+    RecordKind.EXPULSION: (None, b""),
+}
+
+
+class TestPutAndRead:
+    def test_every_kind_but_genesis_has_a_layout(self):
+        assert set(PUT_VALUES) == set(RecordKind) - {RecordKind.GENESIS}
+
+    @pytest.mark.parametrize("kind", list(PUT_VALUES), ids=lambda kind: kind.name)
+    def test_put_then_read_round_trips_bit_for_bit(self, kind):
+        """put appends the layout's bytes, and read gives back the value that
+        was put, for each record of the round and kind in ledger order."""
+        value, payload = PUT_VALUES[kind]
+        book = Ledger()
+        for round_no, node_id in ((2, 5), (1, 5), (2, 3)):
+            book.put(round_no, kind, node_id, value)
+        assert [rec.payload for rec in book.records[1:]] == [payload] * 3
+        read = book.read(2, kind)
+        assert [node_id for node_id, _ in read] == [5, 3]
+        for _, got in read:
+            if isinstance(value, np.ndarray):
+                assert got.dtype == np.float64 and got.tobytes() == value.tobytes()
+            else:
+                assert got == value
+        assert book.read(3, kind) == []
+
+    def test_a_non_empty_expulsion_payload_is_refused(self):
+        book = Ledger()
+        book.append(1, RecordKind.EXPULSION, 2, b"\x00")
+        with pytest.raises(LedgerFormatError, match="^expulsion payload must be empty, got 1 bytes$"):
+            book.read(1, RecordKind.EXPULSION)
+
+    def test_codecs_are_looked_up_when_called(self, monkeypatch):
+        """A codec rebound on the module, as a tracer rebinds it, is the one put and read call."""
+        calls = []
+        for name in ("encode_params", "decode_params"):
+            real = getattr(ledger_mod, name)
+            monkeypatch.setattr(ledger_mod, name, lambda x, real=real, name=name: calls.append(name) or real(x))
+        book = Ledger()
+        book.put(1, RecordKind.GLOBAL_WEIGHTS, None, np.ones(2))
+        book.read(1, RecordKind.GLOBAL_WEIGHTS)
+        assert calls == ["encode_params", "decode_params"]
