@@ -80,7 +80,10 @@ def verify_ledger(dump):
 @click.option("--threshold", default=None, type=float, help="Report the first round whose mean accuracy reaches this level")
 def summarize_cmd(metrics_csv, threshold):
     """Per-round mean/variance of accuracy from a metrics CSV."""
-    metrics = read_metrics_csv(metrics_csv)
+    try:
+        metrics = read_metrics_csv(metrics_csv)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
     summary = summarize(metrics, threshold=threshold)
     click.echo("round,mean_accuracy,variance")
     for row in summary.rounds:

@@ -140,9 +140,15 @@ class RoundMetrics:
     ledger_s: float
 
 
+def _parse_flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
 # CSV column, RoundMetrics field, how the writer prints it, how the reader parses it
 _FLOAT = ("{:.6f}".format, float)
-_BOOL = (lambda v: "true" if v else "false", lambda text: text == "true")
+_BOOL = (lambda v: "true" if v else "false", _parse_flag)
 _CSV_COLUMNS = (
     ("round", "round_no", "{}".format, int),
     ("node_id", "node_id", "{}".format, int),
@@ -184,7 +190,10 @@ def _build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
         return generate_synthetic(
             src.num_classes, src.per_class, src.input_dim, src.separation, cfg.seed
         )
-    return load_mnist_idx(cfg.dataset.images_path, cfg.dataset.labels_path)
+    # a config built in Python has not met build_config's check of the files
+    src = cfg.dataset
+    check_mnist_idx(src.images_path, src.labels_path, src.input_dim, src.num_classes)
+    return load_mnist_idx(src.images_path, src.labels_path)
 
 
 def _build_nodes(cfg: ExperimentConfig, splits, init_weights) -> list:
@@ -374,12 +383,23 @@ def write_csv(metrics, path) -> None:
 
 
 def read_metrics_csv(path) -> tuple:
-    """Parse a metrics CSV back into RoundMetrics rows."""
+    """Parse a metrics CSV back into RoundMetrics rows; a header without the
+    written columns or a cell that does not parse is refused by file and line."""
     with open(path, newline="") as f:
-        return tuple(
-            RoundMetrics(**{attr: parse(row[column]) for column, attr, _, parse in _CSV_COLUMNS})
-            for row in csv.DictReader(f)
-        )
+        reader = csv.DictReader(f)
+        missing = [column for column, _, _, _ in _CSV_COLUMNS if column not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}, line 1: the header lacks {', '.join(missing)}; expected {CSV_HEADER}")
+        rows = []
+        for row in reader:
+            values = {}
+            for column, attr, _, parse in _CSV_COLUMNS:
+                try:  # the cells a short row lacks read as None
+                    values[attr] = parse(row[column] or "")
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {reader.line_num}, column {column}: {exc}") from exc
+            rows.append(RoundMetrics(**values))
+        return tuple(rows)
 
 
 def summarize(metrics, threshold: float | None = None) -> ExperimentSummary:

@@ -56,6 +56,10 @@ class RecordKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LedgerRecord:
+    """One record as the chain holds it. The hashes are 32-byte bytes; the
+    payload is bytes when appended and, when loaded from a dump, a read-only
+    memoryview into the one copy of that dump."""
+
     index: int
     round_no: int
     kind: RecordKind
@@ -85,14 +89,12 @@ def compute_hash(index, round_no, kind, node_id, payload, prev_hash) -> bytes:
     return digest.digest()
 
 
-def _parse_record(read, length: int) -> LedgerRecord:
-    """Parse the `length`-byte record that read(n) hands over field by field.
-
-    read(n) must return the next n bytes; the record keeps what it returns.
-    """
+def _parse_record(body) -> LedgerRecord:
+    """The record serialized in body, a memoryview; its payload is a slice of body."""
+    length = len(body)
     if length < _FIXED_OVERHEAD:
         raise LedgerFormatError(f"record too short ({length} bytes)")
-    index, round_no, kind_code, flag, node_id, paylen = _HEADER.unpack(read(_HEADER.size))
+    index, round_no, kind_code, flag, node_id, paylen = _HEADER.unpack_from(body)
     if paylen != length - _FIXED_OVERHEAD:
         raise LedgerFormatError(
             f"payload length field {paylen} does not match record size {length}"
@@ -106,64 +108,51 @@ def _parse_record(read, length: int) -> LedgerRecord:
     if flag == 0 and node_id != 0:
         # only canonical encodings round-trip, so every byte stays hash-covered
         raise LedgerFormatError("node id bytes must be zero when the flag is unset")
-    payload = read(paylen)
-    prev_hash = read(HASH_LEN)
-    stored_hash = read(HASH_LEN)
+    end = _HEADER.size + paylen
     return LedgerRecord(
         index=index,
         round_no=round_no,
         kind=kind,
         node_id=node_id if flag else None,
-        payload=payload,
-        prev_hash=prev_hash,
-        hash=stored_hash,
+        payload=body[_HEADER.size : end],
+        prev_hash=bytes(body[end : end + HASH_LEN]),
+        hash=bytes(body[end + HASH_LEN :]),
     )
 
 
-def _walk(read, size: int):
-    """Each record of a `size`-byte dump whose bytes read(n) hands over in order.
+def _walk(view):
+    """Each record of the dump in view, a memoryview, parsed in place.
 
-    This is the one frame walker: blobs and files both go through it.
-    Raises LedgerFormatError at the first truncated or malformed frame.
+    This is the one frame walker: loads, buffer checks and file checks all go
+    through it. Raises LedgerFormatError at the first truncated or malformed frame.
     """
-    offset = 0
+    offset, size = 0, len(view)
     while offset < size:
         if offset + 4 > size:
             raise LedgerFormatError("truncated frame length")
-        (length,) = struct.unpack("<I", read(4))
+        (length,) = struct.unpack_from("<I", view, offset)
         offset += 4
         if offset + length > size:
             raise LedgerFormatError("truncated record frame")
+        yield _parse_record(view[offset : offset + length])
         offset += length
-        yield _parse_record(read, length)
 
 
-def _blob_reader(blob, owned: bool):
-    """(read, size) over a bytes-like blob; read(n) returns copies of its pieces,
-    or views into it unless owned."""
-    view = memoryview(blob)
-    offset = 0
-
-    def read(n):
-        nonlocal offset
-        piece = view[offset : offset + n]
-        offset += n
-        return bytes(piece) if owned else piece
-
-    return read, len(view)
-
-
-def _file_reader(f):
-    """(read, size) over an open binary file; read(n) returns the bytes it reads,
-    and a file that ends early is a truncated frame."""
-
-    def read(n):
-        piece = f.read(n)
-        if len(piece) != n:
-            raise LedgerFormatError("truncated record frame")
-        return piece
-
-    return read, os.fstat(f.fileno()).st_size
+def _file_frames(f):
+    """Each frame of an open dump file, read into a buffer of its own: the u32
+    length, then that many record bytes or as many as the file has left, so a
+    bogus length never sizes a buffer past the file."""
+    left = os.fstat(f.fileno()).st_size
+    while left > 0:
+        prefix = f.read(4)
+        if len(prefix) < 4:
+            yield memoryview(prefix)  # the walker finds the length truncated
+            return
+        frame = memoryview(bytearray(4 + min(struct.unpack("<I", prefix)[0], left - 4)))
+        frame[:4] = prefix
+        got = 4 + f.readinto(frame[4:])
+        left -= len(frame)
+        yield frame[:got]
 
 
 def _hash_matches(rec) -> bool:
@@ -310,19 +299,15 @@ class Ledger:
         return b"".join(self._frame_parts())
 
     @classmethod
-    def _loaded(cls, records) -> "Ledger":
-        """A ledger of the walked records, unverified."""
-        records = list(records)
-        if not records:
-            raise LedgerFormatError("empty dump")
+    def from_bytes(cls, blob) -> "Ledger":
+        """Load a dump from a buffer, unverified, into one read-only copy of it
+        (blob itself when it is bytes): every payload is a view into that copy,
+        every hash is bytes, and later writes to blob do not reach the records."""
         ledger = cls.__new__(cls)
-        ledger.records = records
+        ledger.records = list(_walk(memoryview(bytes(blob))))
+        if not ledger.records:
+            raise LedgerFormatError("empty dump")
         return ledger
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Ledger":
-        """Load a dump from a buffer; every field is bytes copied out of blob."""
-        return cls._loaded(_walk(*_blob_reader(blob, owned=True)))
 
     def write_dump(self, path) -> None:
         """Write the dump piece by piece; the file equals to_bytes() without a copy in memory."""
@@ -331,36 +316,35 @@ class Ledger:
 
     @classmethod
     def read_dump(cls, path) -> "Ledger":
-        """Load a dump file, reading each field straight into the record that keeps it.
-
-        The file is never held whole, so loading takes one copy of the dump.
-        """
+        """Load a dump file, unverified: it is read once, and the loaded records
+        view that one copy of the dump as from_bytes describes."""
         with open(path, "rb") as f:
-            return cls._loaded(_walk(*_file_reader(f)))
+            return cls.from_bytes(f.read())
 
 
 def verify_dump_bytes(blob: bytes) -> int | None:
     """First bad record index of a serialized ledger, None when it is intact.
 
     A frame that cannot be parsed marks its own index bad, unless an earlier
-    record already failed; the records only live for this check, so they stay
-    views into blob. Since the whole dump is in memory, every record is
-    hashed on worker threads, one per usable CPU, before the walk checks the
-    records in order; the index is the one a record-by-record check gives.
+    record already failed; the records only live for this check, so their
+    payloads stay views into blob. Since the whole dump is in memory, every
+    record is hashed on worker threads, one per usable CPU, before the walk
+    checks the records in order; the index is the one a record-by-record
+    check gives.
     """
-    return _check_held(_walk(*_blob_reader(blob, owned=False)))
+    return _check_held(_walk(memoryview(blob)))
 
 
 def verify_dump_file(path):
     """(first bad record index or None, record count) of a dump file.
 
-    The file is checked in one pass that holds one record at a time, hashing
-    each as it is read, and it gives the index verify_dump_bytes gives for the
-    file's bytes. It starts no worker threads: reading ahead for them would
-    hold a record per worker in fresh memory.
+    The file is checked in one pass that holds one frame at a time, hashing
+    each record as it is read, and it gives the index verify_dump_bytes gives
+    for the file's bytes. It starts no worker threads: reading ahead for them
+    would hold a record per worker in fresh memory.
     """
     with open(path, "rb") as f:
-        return _first_bad_index(_walk(*_file_reader(f)))
+        return _first_bad_index(rec for frame in _file_frames(f) for rec in _walk(frame))
 
 
 # --- payload codecs -----------------------------------------------------------

@@ -260,3 +260,28 @@ class TestSummarizeCommand:
         assert lines[0] == "round,mean_accuracy,variance"
         assert len(lines) == 1 + 2 + 1
         assert "reached at round 1" in lines[-1]
+
+    @pytest.mark.parametrize(
+        "text, where, cause",
+        [
+            ("a,b\n1,2\n", "line 1", "the header lacks round, node_id, accuracy, alpha, flagged, expelled, "
+             "train_s, negotiate_s, ledger_s; expected " + harness.CSV_HEADER),
+            ("", "line 1", "the header lacks round"),
+            (harness.CSV_HEADER + "\n1,0,abc,0.5,false,false,0,0,0\n", "line 2, column accuracy",
+             "could not convert string to float: 'abc'"),
+            (harness.CSV_HEADER + "\n1,0,0.5,0.5,false,false,0,0,0\n1.5,1,0.5,0.5,false,false,0,0,0\n",
+             "line 3, column round", "invalid literal for int() with base 10: '1.5'"),
+            (harness.CSV_HEADER + "\n1,0,0.5,0.5,no,false,0,0,0\n", "line 2, column flagged",
+             "expected true or false, got 'no'"),
+            (harness.CSV_HEADER + "\n1,0,0.5\n", "line 2, column alpha", "could not convert string to float: ''"),
+        ],
+    )
+    def test_a_bad_csv_is_refused_in_one_line(self, tmp_path, text, where, cause):
+        """A CSV without the written header or with a cell that does not
+        parse ends as one Error line naming the file and the line."""
+        path = tmp_path / "metrics.csv"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["summarize", str(path)])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {path}, {where}: {cause}")
+        assert result.output.count("\n") == 1

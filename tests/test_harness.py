@@ -762,6 +762,21 @@ class TestMnistChecks:
             f"{MNIST_FILE_KEYS}{labels}: wrong magic: expected 0x00000803, got 0x00000801"
         )
 
+    def test_a_config_built_in_python_is_checked_before_any_training(self, tmp_path, monkeypatch):
+        """An ExperimentConfig made without build_config meets the same check
+        of its files when the run builds its data, not a shape error in training."""
+        images, labels = write_mnist_pair(tmp_path, rows=4, cols=3)
+        cfg = small_config(
+            Scheme.SCEI, rounds=1, num_nodes=5, dataset=MnistSource(str(images), str(labels)), hidden=(8, 8),
+            partition=PartitionSpec(num_nodes=5, samples_per_node=100, labels_per_node=2, rng_seed=1),
+        )
+        trained = []
+        monkeypatch.setattr(harness.node_mod, "local_round", lambda *args: trained.append(args))
+        with pytest.raises(ValueError) as exc:
+            run_experiment(cfg)
+        assert str(exc.value) == f"{images}: 4 x 3 images give 12 inputs, the model takes 784"
+        assert trained == []
+
     def test_a_partition_the_files_cannot_fill(self, tmp_path):
         images, labels = write_mnist_pair(tmp_path)
         assert self.refusal(images, labels, nodes="40") == (

@@ -191,8 +191,9 @@ class TestSerialization:
         loaded = Ledger.from_bytes(blob)
         blob[:] = bytes(len(blob))
         assert loaded.verify_chain() is None
-        for rec in loaded.records:
-            assert all(type(f) is bytes for f in (rec.payload, rec.prev_hash, rec.hash))
+        for rec, original in zip(loaded.records, build_ledger(5).records):
+            assert type(rec.prev_hash) is bytes and type(rec.hash) is bytes
+            assert rec.payload.readonly and rec.payload == original.payload
 
     def test_dump_file_round_trip(self, tmp_path):
         book = build_ledger(9)
@@ -200,8 +201,9 @@ class TestSerialization:
         book.write_dump(path)
         loaded = Ledger.read_dump(path)
         assert loaded.records == book.records
-        for rec in loaded.records:
-            assert all(type(f) is bytes for f in (rec.payload, rec.prev_hash, rec.hash))
+        for rec, original in zip(loaded.records, book.records):
+            assert type(rec.prev_hash) is bytes and type(rec.hash) is bytes
+            assert rec.payload.readonly and rec.payload == original.payload
 
     def test_dump_file_bytes_equal_to_bytes(self, tmp_path):
         book = build_ledger(9, payload_size=1000)
@@ -441,6 +443,27 @@ class TestTamperDetection:
             path.write_bytes(dump)
             assert verify_dump_file(path) == (bad, len(Ledger.from_bytes(dump)) if bad is None else bad)
 
+    @pytest.mark.parametrize("record", [0, 3, 6])
+    def test_a_huge_frame_length_reads_no_more_than_the_file(self, record, tmp_path):
+        """A frame prefix of 2**32-1 makes the file check read at most what the
+        file has left, not 4 GB, and it reports the index the sweep expects.
+        Record 0's frame then spans the whole file; the rest of the peak is the
+        file's read buffer and the interpreter's own small objects."""
+        blob = bytearray(build_ledger(6, payload_size=100_000).to_bytes())
+        at = _framed(blob)[record]
+        blob[at : at + 4] = struct.pack("<I", 2**32 - 1)
+        path = tmp_path / "ledger.bin"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            found = verify_dump_file(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == (record, record)
+        assert checks.read_dump(bytes(blob)).first_bad == record
+        assert peak <= len(blob) + len(blob) // 16, f"peak {peak} bytes for a {len(blob)}-byte dump"
+
     @pytest.mark.parametrize(
         "fault",
         ["edit 0x01", "edit 0x5a", "edit 0xff", "truncate", "length"],
@@ -477,7 +500,7 @@ class TestTamperDetection:
         sys.setswitchinterval(1e-6)
         try:
             for dump in faulty:
-                expected = _first_bad_index(ledger_mod._walk(*ledger_mod._blob_reader(dump, owned=False)))[0]
+                expected = _first_bad_index(ledger_mod._walk(memoryview(dump)))[0]
                 loaded = _load(lambda: Ledger.from_bytes(dump))
                 for cpus in affinities:
                     monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
