@@ -44,6 +44,8 @@ def run(config_path, scheme, rounds, seed, out, ledger_out):
         raise click.ClickException(str(exc))
     summary = summarize(result.metrics)
     final = summary.rounds[-1]
+    # an expelled node reports no more rows, so the final mean covers the rest
+    reporting = sum(m.round_no == final.round_no for m in result.metrics)
     expelled = sorted(
         {m.node_id for m in result.metrics if m.expelled}
     )
@@ -53,10 +55,12 @@ def run(config_path, scheme, rounds, seed, out, ledger_out):
     )
     click.echo(
         f"final round mean accuracy {final.mean_accuracy:.4f} "
+        f"over {reporting} of {cfg.partition.num_nodes} nodes "
         f"(variance {final.variance:.6f})"
     )
     if expelled:
         click.echo(f"expelled nodes: {expelled}")
+    click.echo(f"ledger head {result.ledger.head_hash.hex()}")
     if cfg.output_path:
         click.echo(f"metrics written to {cfg.output_path}")
     if cfg.ledger_path:

@@ -24,6 +24,7 @@ import csv
 import ctypes
 import enum
 import glob
+import io
 import os
 import time
 from dataclasses import dataclass, field
@@ -264,16 +265,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
         try:
             metrics, state = _run_rounds(nodes, book, state, cfg)
-        except ExperimentAbort:
-            # the records up to the abort are the ones that explain it
+        finally:
+            # the records so far, also when the rounds end in an exception:
+            # the ones up to it are the ones that explain it
             if cfg.ledger_path:
                 book.write_dump(cfg.ledger_path)
-            raise
 
     if cfg.output_path:
         write_csv(metrics, cfg.output_path)
-    if cfg.ledger_path:
-        book.write_dump(cfg.ledger_path)
     return ExperimentResult(metrics=tuple(metrics), ledger=book, state=state)
 
 
@@ -383,9 +382,17 @@ def write_csv(metrics, path) -> None:
 
 
 def read_metrics_csv(path) -> tuple:
-    """Parse a metrics CSV back into RoundMetrics rows; a header without the
-    written columns or a cell that does not parse is refused by file and line."""
-    with open(path, newline="") as f:
+    """Parse a metrics CSV back into RoundMetrics rows; bytes that are not
+    UTF-8, a header without the written columns or a cell that does not parse
+    are refused by file and line."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from exc
+    with io.StringIO(text, newline="") as f:
         reader = csv.DictReader(f)
         missing = [column for column, _, _, _ in _CSV_COLUMNS if column not in (reader.fieldnames or ())]
         if missing:

@@ -1,3 +1,5 @@
+import os
+import re
 import struct
 import tracemalloc
 
@@ -8,6 +10,8 @@ import scei.harness as harness
 from scei.cli import main
 from scei.ledger import Ledger, RecordKind, verify_dump_file
 from test_data import write_mnist_pair
+
+SAMPLE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "synthetic_scei.cfg")
 
 CONFIG = """
 scheme = scei
@@ -63,6 +67,18 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         assert "local: 3 rounds" in result.output
         assert len(out.read_text().splitlines()) == 1 + 3 * 4
+
+    def test_the_report_names_its_nodes_and_the_ledger_head(self, tmp_path):
+        """Seed 5 of the sample config expels honest node 9 at round 12, so the
+        final-round mean covers 9 of the 10 nodes; the printed head hash is
+        the dump's, the anchor a later check of the dump compares against."""
+        dump = tmp_path / "ledger.bin"
+        result = CliRunner().invoke(main, ["run", "--config", SAMPLE_CONFIG, "--seed", "5", "--ledger-out", str(dump)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        assert re.fullmatch(r"final round mean accuracy 0\.\d{4} over 9 of 10 nodes \(variance 0\.\d{6}\)", lines[1])
+        assert lines[2] == "expelled nodes: [9]"
+        assert lines[3] == f"ledger head {Ledger.read_dump(dump).head_hash.hex()}"
 
 
     @pytest.mark.parametrize(
@@ -285,3 +301,21 @@ class TestSummarizeCommand:
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {path}, {where}: {cause}")
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "blob, where",
+        [
+            (b"\xff\xfe\x00", "line 1"),
+            ((harness.CSV_HEADER + "\n1,0,0.5,0.5,false,false,0,0,0\n").encode()
+             + b"1,1,0.\xff,0.5,false,false,0,0,0\n", "line 3"),
+        ],
+        ids=["first byte", "cell on line 3"],
+    )
+    def test_a_csv_that_is_not_utf8_is_refused_in_one_line(self, tmp_path, blob, where):
+        """Bytes that do not decode as UTF-8 end as one Error line naming the
+        file and the line they sit on."""
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(blob)
+        result = CliRunner().invoke(main, ["summarize", str(path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {path}, {where}: not UTF-8 text (invalid start byte)\n"

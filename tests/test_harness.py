@@ -288,6 +288,21 @@ class TestAttacksAndDefence:
         for round_no in (1, 2, 3):
             assert result.ledger.query_round(round_no, RecordKind.SUSPICION_SET) == []
 
+    def test_honest_expulsions_in_clean_runs(self):
+        """The paper's fence rule expels honest nodes with no attacker present
+        (README, "Known limitations"): on the sample config's 20 rounds, seeds
+        1-10 expel exactly these (node, round) pairs. A change to the defence
+        that moves this rate changes this table on purpose."""
+        raw = parse_config_file(SAMPLE_CONFIG)
+        assert raw.get("attacks", "") == ""
+        expelled = {}
+        for seed in range(1, 11):
+            result = run_experiment(build_config(raw, seed=seed))
+            pairs = sorted((m.node_id, m.round_no) for m in result.metrics if m.expelled)
+            if pairs:
+                expelled[seed] = pairs
+        assert expelled == {5: [(9, 12)], 8: [(1, 5), (9, 5)]}
+
     def test_all_nodes_flagged_aborts_with_round(self, monkeypatch):
         import scei.contract as contract_mod
         from scei.contract import DefenceReport
@@ -307,10 +322,12 @@ class TestAttacksAndDefence:
             run_experiment(small_config(Scheme.SCEI))
 
 
-    def test_diverging_learning_rate_aborts(self):
+    def test_diverging_learning_rate_aborts(self, tmp_path):
         """The 199,210-parameter shape at learning rate 0.5 overflows within
         a few rounds; the run stops naming the round and the nodes instead of
-        going on at chance accuracy."""
+        going on at chance accuracy, and leaves the dump of every round
+        before the one that diverged."""
+        dump = tmp_path / "ledger.bin"
         raw = {
             "synthetic_classes": "10",
             "synthetic_per_class": "500",
@@ -323,11 +340,17 @@ class TestAttacksAndDefence:
             "local_epochs": "1",
             "learning_rate": "0.5",
             "attacks": "1:noise:10.0:1, 2:noise:10.0:1",
+            "ledger_out": str(dump),
         }
         with np.errstate(all="ignore"), pytest.raises(
             ExperimentAbort, match=r"^round \d+: node\(s\) \d+(, \d+)* trained to non-finite weights$"
-        ):
+        ) as raised:
             run_experiment(build_config(raw, seed=1))
+        # seed 1 aborts at round 7, after 125 records
+        aborted_at = int(re.match(r"round (\d+)", str(raised.value)).group(1))
+        assert verify_dump_file(dump) == (None, 125)
+        last = Ledger.read_dump(dump).records[-1]
+        assert (last.round_no, last.kind) == (aborted_at - 1, RecordKind.ALPHA_DECISION)
 
 
 class TestCsv:
@@ -714,6 +737,40 @@ def test_an_aborted_run_leaves_its_dump(monkeypatch, tmp_path):
         (1, RecordKind.SUSPICION_SET, None),
     ]
     assert book.read(1, RecordKind.SUSPICION_SET) == [(None, (0, 1, 2, 3))]
+
+
+class Interrupted(BaseException):
+    """Raised from inside the rounds, and not an Exception, as a KeyboardInterrupt is not."""
+
+
+@pytest.mark.parametrize("error", [RuntimeError("a fault in round 2"), Interrupted("stopped in round 2")])
+def test_a_run_ending_in_any_exception_leaves_its_dump(error, monkeypatch, tmp_path):
+    """A run that dies of anything raised during the rounds, not only of
+    ExperimentAbort, writes the records it appended before the raise: here
+    the fifth candidate evaluation, the first of round 2, raises after round
+    2's global weights are recorded."""
+    calls = []
+    evaluate = harness.node_mod.evaluate_candidates
+
+    def fail_on_the_fifth_call(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise error
+        return evaluate(*args)
+
+    monkeypatch.setattr(harness.node_mod, "evaluate_candidates", fail_on_the_fifth_call)
+    dump = tmp_path / "ledger.bin"
+    with pytest.raises(type(error)) as raised:
+        run_experiment(small_config(Scheme.SCEI, ledger_path=str(dump)))
+    assert raised.value is error  # same type, same message
+    assert verify_dump_file(dump) == (None, 19)
+    book = Ledger.read_dump(dump)
+    assert [rec.round_no for rec in book.records] == [0, 0] + [1] * 11 + [2] * 6
+    assert [(rec.kind, rec.node_id) for rec in book.records[-6:]] == [
+        *((RecordKind.LOCAL_WEIGHTS, node_id) for node_id in range(4)),
+        (RecordKind.SUSPICION_SET, None),
+        (RecordKind.GLOBAL_WEIGHTS, None),
+    ]
 
 
 @pytest.mark.parametrize("key", ["out", "ledger_out"])
