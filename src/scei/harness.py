@@ -252,6 +252,8 @@ def _one_blas_thread():
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Build data and nodes, run the full round loop on one BLAS thread,
     optionally write outputs."""
+    # a config built in Python has not met build_config's check of the outputs
+    _check_outputs(cfg.output_path, cfg.ledger_path)
     with _one_blas_thread():
         ds = _build_dataset(cfg)
         splits = inject_skew(partition_non_iid(ds, cfg.partition), ds, cfg.partition)
@@ -381,18 +383,22 @@ def write_csv(metrics, path) -> None:
             f.write(",".join(show(getattr(m, attr)) for _, attr, show, _ in _CSV_COLUMNS) + "\n")
 
 
+def _read_utf8(path) -> str:
+    """The file's text; bytes that are not UTF-8 are refused by file and line."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def read_metrics_csv(path) -> tuple:
     """Parse a metrics CSV back into RoundMetrics rows; bytes that are not
     UTF-8, a header without the written columns or a cell that does not parse
     are refused by file and line."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = blob.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from exc
-    with io.StringIO(text, newline="") as f:
+    with io.StringIO(_read_utf8(path), newline="") as f:
         reader = csv.DictReader(f)
         missing = [column for column, _, _, _ in _CSV_COLUMNS if column not in (reader.fieldnames or ())]
         if missing:
@@ -522,10 +528,10 @@ CONFIG_TABLE = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; '#' starts a comment; blank lines ignored;
-    each key at most once."""
+    """Flat `key = value` lines of UTF-8 text; '#' starts a comment; blank
+    lines ignored; each key at most once."""
     raw, lines = {}, {}
-    with open(path) as f:
+    with io.StringIO(_read_utf8(path), newline=None) as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:

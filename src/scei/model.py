@@ -161,9 +161,10 @@ def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels, out=
     The loss uses the fused log-sum-exp form, so huge logits saturate instead of
     overflowing. Returns (loss, gradient) with the gradient in the flat layout.
 
-    With a leading node axis (params (K, P), batch (K, B, d), labels (K, B))
-    it does the same for K nodes at once and returns a (K,) loss array and a
-    (K, P) gradient; each node's row equals what a 1-D call on that node gives.
+    Shapes: params (..., P), batch (..., B, d) and labels (..., B), where ...
+    is nothing for one node or (K,) for a stack of K; other shapes are refused.
+    One node gives a float loss and a (P,) gradient, a stack a (K,) loss array
+    and a (K, P) gradient, each row what a call on that node alone gives.
 
     `out`, as in numpy's own functions, is an optional float64 array of the
     shape of `params`, not overlapping it, that receives the gradient and is
@@ -171,22 +172,14 @@ def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels, out=
     to a new array. `sgd_train` passes one buffer for all its steps.
     """
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim == 2:
-        x = np.asarray(batch, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
-        if x.ndim != 3 or x.shape[0] != params.shape[0] or x.shape[2] != arch.input_dim:
-            raise ValueError(
-                f"a stack of {params.shape[0]} nodes needs a ({params.shape[0]}, B, "
-                f"{arch.input_dim}) batch, got shape {x.shape}"
-            )
-        if y.shape != x.shape[:2]:
-            raise ValueError(f"got batch shape {x.shape} but label shape {y.shape}")
-    else:
-        x = _as_batch(batch, arch)
-        y = np.asarray(labels, dtype=np.int64).reshape(-1)
-        if y.shape[0] != x.shape[0]:
-            raise ValueError(f"got {x.shape[0]} examples but {y.shape[0]} labels")
-    n = x.shape[-2]
+    x = np.asarray(batch, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    lead = params.shape[:1] if params.ndim > 1 else ()
+    n = x.shape[-2] if x.ndim > 1 else 1
+    expected = ((*lead, arch.param_count), (*lead, n, arch.input_dim), (*lead, n))
+    given = (params.shape, x.shape, y.shape)
+    if given != expected:
+        raise ValueError(f"expected parameter, batch and label shapes {expected}, got {given}")
     if n == 0:
         raise ValueError("empty batch")
     if y.size and (y.min() < 0 or y.max() >= arch.output_dim):
@@ -214,7 +207,7 @@ def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels, out=
     exp = np.exp(shifted)
     total = exp.sum(axis=-1)
     losses = np.mean(np.log(total) - shifted.reshape(-1, c)[rows, picked].reshape(y.shape), axis=-1)
-    loss = losses if params.ndim == 2 else float(losses)
+    loss = losses if lead else float(losses)
 
     dlogits = exp
     dlogits /= total[..., None]
@@ -244,41 +237,38 @@ def sgd_train(
 ) -> np.ndarray:
     """Mini-batch SGD for cfg.local_epochs epochs with a seeded shuffle per epoch.
 
-    `params` is one flat vector and `dataset` one LabeledDataset, or `params`
-    is a (K, P) stack and `dataset` a sequence of K datasets of equal length.
-    A stack trains every node on the same shuffle, one loss_and_grad call per
-    step for all K, and each row comes out equal to a 1-D call on that node.
+    `params` is a (K, P) stack and `dataset` a sequence of K datasets of equal
+    length, or `params` is one (P,) vector and `dataset` one LabeledDataset,
+    which trains as the one-row stack (params[None], [dataset]). Every node
+    trains on the same shuffle, one loss_and_grad call per step for all K.
 
     Does not mutate the input; bit-reproducible for a fixed cfg.rng_seed.
     """
     trained = np.array(params, dtype=np.float64, copy=True)
-    if trained.ndim == 2:
-        datasets = list(dataset)
-        if len(datasets) != trained.shape[0]:
-            raise ValueError(f"{trained.shape[0]} parameter rows but {len(datasets)} datasets")
-        if len({len(ds) for ds in datasets}) != 1:
-            raise ValueError("stacked training needs datasets of equal length")
-        features = np.stack([ds.features for ds in datasets])
-        labels = np.stack([ds.labels for ds in datasets])
-    else:
-        features, labels = dataset.features, dataset.labels
+    stack, datasets = (trained, list(dataset)) if trained.ndim > 1 else (trained[None], [dataset])
+    if len(datasets) != len(stack):
+        raise ValueError(f"{len(stack)} parameter rows but {len(datasets)} datasets")
+    if len({len(ds) for ds in datasets}) != 1:
+        raise ValueError("stacked training needs datasets of equal length")
+    features = np.stack([ds.features for ds in datasets])
+    labels = np.stack([ds.labels for ds in datasets])
     n = labels.shape[-1]
     if n == 0:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(cfg.rng_seed)
-    grad = np.empty_like(trained)
+    grad = np.empty_like(stack)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         # np.take gives every node's rows in one C-contiguous block; a stack
         # indexed as features[:, order] comes out batch-major, and a width-1
-        # layer's matmul then sums in another order than a 1-D call does
+        # layer's matmul then sums in another order than a one-node call does
         x_epoch = np.take(features, order, axis=-2)
         y_epoch = np.take(labels, order, axis=-1)
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            loss_and_grad(trained, arch, x_epoch[..., start:stop, :], y_epoch[..., start:stop], out=grad)
+            loss_and_grad(stack, arch, x_epoch[..., start:stop, :], y_epoch[..., start:stop], out=grad)
             grad *= cfg.learning_rate
-            trained -= grad
+            stack -= grad
     return trained
 
 

@@ -319,3 +319,20 @@ class TestSummarizeCommand:
         result = CliRunner().invoke(main, ["summarize", str(path)])
         assert result.exit_code == 1
         assert result.output == f"Error: {path}, {where}: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize(
+        "blob, where",
+        [
+            (b"scheme = scei\nseed = 1\xff\n", "line 2"),
+            (CONFIG.encode() + b"out = m\xff.csv\n", f"line {CONFIG.count(chr(10)) + 1}"),
+        ],
+        ids=["value on line 2", "last line"],
+    )
+    def test_a_config_that_is_not_utf8_is_refused_in_one_line(self, tmp_path, blob, where):
+        """A config file is read as UTF-8 whatever the locale, and a byte
+        that does not decode ends as one Error line naming the file and the line."""
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(blob)
+        result = CliRunner().invoke(main, ["run", "--config", str(path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {path}, {where}: not UTF-8 text (invalid start byte)\n"

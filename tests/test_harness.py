@@ -782,6 +782,22 @@ def test_an_output_naming_a_directory_is_refused(key, tmp_path):
     assert str(exc.value) == f"config keys 'out', 'ledger_out': {key} {str(tmp_path)!r} is a directory"
 
 
+def test_a_config_built_in_python_has_its_outputs_checked_before_any_data(monkeypatch, tmp_path):
+    """An ExperimentConfig made without build_config meets the same check of
+    its outputs before any data is built, not a FileNotFoundError from the
+    dump once every round has run."""
+    def never(*args):
+        raise AssertionError("reached past the output check")
+
+    monkeypatch.setattr(harness, "_build_dataset", never)
+    monkeypatch.setattr(harness.node_mod, "local_round", never)
+    missing = str(tmp_path / "nodir" / "ledger.bin")
+    with pytest.raises(ValueError) as exc:
+        run_experiment(small_config(Scheme.SCEI, num_nodes=5, rounds=5, hidden=(16, 16), ledger_path=missing))
+    assert str(exc.value) == f"ledger_out {missing!r} lies in no existing directory"
+    assert list(tmp_path.iterdir()) == []
+
+
 MNIST_RAW = dict(dataset="mnist", nodes="5", samples_per_node="100", labels_per_node="2", hidden="8,8", rounds="1")
 MNIST_FILE_KEYS = "config keys 'mnist_images', 'mnist_labels': "
 

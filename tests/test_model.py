@@ -313,6 +313,18 @@ class TestStackedTraining:
             sgd_train(stack, TINY, cfg, _node_datasets(TINY, 3, 6, seed=0))
         with pytest.raises(ValueError):
             sgd_train(stack, TINY, cfg, [_small_dataset(n=6), _small_dataset(n=7)])
+        # the one rule from the one-node side, and a one-node batch for a stack
+        one = init_params(TINY, 0)
+        for params, x, y in (
+            (one, np.ones((5, 5)), np.zeros(5, dtype=int)),
+            (one, np.ones((5, 4)), np.zeros(6, dtype=int)),
+            (one, np.ones((1, 5, 4)), np.zeros((1, 5), dtype=int)),
+            (stack, np.ones((5, 4)), np.zeros(5, dtype=int)),
+        ):
+            expected = ((2, 35), (2, 5, 4), (2, 5)) if params is stack else ((35,), (5, 4), (5,))
+            given = (params.shape, x.shape, y.shape)
+            with pytest.raises(ValueError, match=re.escape(f"{expected}, got {given}")):
+                loss_and_grad(params, TINY, x, y)
 
 
 WIDTH_ONE = [
