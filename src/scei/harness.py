@@ -197,6 +197,13 @@ def _build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     return load_mnist_idx(src.images_path, src.labels_path)
 
 
+def _build_splits(cfg: ExperimentConfig) -> list:
+    """Each node's split; the source dataset is gone once this returns, as
+    the splits hold copies of its rows."""
+    ds = _build_dataset(cfg)
+    return inject_skew(partition_non_iid(ds, cfg.partition), ds, cfg.partition)
+
+
 def _build_nodes(cfg: ExperimentConfig, splits, init_weights) -> list:
     attack_map = dict(cfg.attacks)
     return [
@@ -255,9 +262,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # a config built in Python has not met build_config's check of the outputs
     _check_outputs(cfg.output_path, cfg.ledger_path)
     with _one_blas_thread():
-        ds = _build_dataset(cfg)
-        splits = inject_skew(partition_non_iid(ds, cfg.partition), ds, cfg.partition)
-
+        splits = _build_splits(cfg)
         init_weights = init_params(cfg.arch, derive_seed(cfg.seed, _INIT_TAG))
         nodes = _build_nodes(cfg, splits, init_weights)
 
@@ -292,18 +297,18 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
         negotiate_s = dict.fromkeys(active, 0.0)
 
         # phase 1: local training of every active node, then uploads in
-        # ascending node order; each node is charged an equal share of the
-        # stacked training time
+        # ascending node order, each put as it is built, so none outlives its
+        # put; each node is charged an equal share of the stacked training time
         start = time.perf_counter()
         try:
-            trained = node_mod.local_round([by_id[n] for n in active], cfg.arch, cfg.training, round_no)
+            outgoing = node_mod.local_round([by_id[n] for n in active], cfg.arch, cfg.training, round_no)
         except node_mod.NonFiniteWeights as exc:
             raise ExperimentAbort(f"round {round_no}: {exc}") from exc
         train_s = (time.perf_counter() - start) / len(active)
         ledger_s = {}
-        for node_id, upload in zip(active, trained):
+        for node_id in active:
             start = time.perf_counter()
-            book.put(round_no, RecordKind.LOCAL_WEIGHTS, node_id, upload)
+            book.put(round_no, RecordKind.LOCAL_WEIGHTS, node_id, next(outgoing))
             ledger_s[node_id] = time.perf_counter() - start
         uploads = dict(book.read(round_no, RecordKind.LOCAL_WEIGHTS))
 
@@ -529,7 +534,8 @@ CONFIG_TABLE = {
 
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines of UTF-8 text; '#' starts a comment; blank
-    lines ignored; each key at most once."""
+    lines ignored; each key at most once. A refusal names the file and line
+    as `<file>, line N: ...`."""
     raw, lines = {}, {}
     with io.StringIO(_read_utf8(path), newline=None) as f:
         for lineno, line in enumerate(f, start=1):
@@ -537,12 +543,12 @@ def parse_config_file(path) -> dict:
             if not stripped:
                 continue
             if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+                raise ValueError(f"{path}, line {lineno}: expected 'key = value', got {line.rstrip()!r}")
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key not in CONFIG_TABLE:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
             if key in lines:
-                raise ValueError(f"{path}:{lineno}: key {key!r} already set on line {lines[key]}")
+                raise ValueError(f"{path}, line {lineno}: key {key!r} already set on line {lines[key]}")
             raw[key], lines[key] = value, lineno
     return raw
 

@@ -372,8 +372,15 @@ def _count(payload, item_size: int, what: str) -> int:
 
 
 def decode_params(payload: bytes) -> np.ndarray:
+    """The values as a read-only little-endian f64 view of payload.
+
+    Ledger payloads are immutable (bytes on append, read-only views of one
+    bytes copy on load), so no copy is made; a writable buffer such as a
+    bytearray is copied, so the vector never changes under its caller.
+    """
     count = _count(payload, 8, "parameter")
-    return np.frombuffer(payload, dtype="<f8", count=count, offset=8).astype(np.float64)
+    values = np.frombuffer(payload, dtype="<f8", count=count, offset=8)
+    return values.copy() if values.flags.writeable else values
 
 
 def encode_accuracy_list(alphas, accuracies) -> bytes:

@@ -6,6 +6,7 @@ so an attacked node keeps training from uncorrupted state round after round.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,9 +25,9 @@ _NOISE_TAG = 12
 # wide shape: 199,210 parameters, 10 nodes, seed 1, 2-vCPU box, one BLAS
 # thread, median of 15 alternating reps): one local_round took 0.129, 0.132,
 # 0.132 and 0.142 s at 1, 2 (this cap), 5 and 10 nodes per stack, with the
-# same uploads. With no cap, 12-round experiments of that shape ran 2-3% more
-# rounds per second with the same head hashes, but the benchmark's
-# wide_mlp_ledger peak RSS rose 362 -> 389 MB (+7%).
+# same uploads. With no cap, the benchmark's wide_mlp_ledger ran 2.6% more
+# rounds per second with the same head hashes, but its peak RSS rose
+# 276 -> 307 MB (+11%; 5 alternating pairs of 10 s runs, seeds 1-5).
 _STACK_BYTES = 4 * 2**20
 
 
@@ -84,16 +85,17 @@ class NonFiniteWeights(ArithmeticError):
         super().__init__(f"node(s) {', '.join(map(str, self.node_ids))} trained to non-finite weights")
 
 
-def local_round(nodes, arch: MlpArchitecture, cfg: TrainingConfig, round_no: int) -> list:
+def local_round(nodes, arch: MlpArchitecture, cfg: TrainingConfig, round_no: int) -> Iterator[np.ndarray]:
     """Train each node from its personal model and return the vectors to upload.
 
     `nodes` are the round's active nodes in ascending id order; the uploads
-    come back in that order. Nodes with equal train sizes train together in
-    stacked sgd_train calls of at most _STACK_BYTES of parameters, and each
-    gets its own copy of its row. The shuffle seed derives from
-    (cfg.rng_seed, round), the attack noise seed from (cfg.rng_seed,
-    node_id, round), so runs replay exactly. An active attack corrupts only
-    the returned upload; node.local_weights stays honest.
+    come back in that order, each built only when the iterator reaches it,
+    so a caller that stores each as it comes holds one at a time. Nodes with
+    equal train sizes train together in stacked sgd_train calls of at most
+    _STACK_BYTES of parameters, and each gets its own copy of its row. The
+    shuffle seed derives from (cfg.rng_seed, round), the attack noise seed
+    from (cfg.rng_seed, node_id, round), so runs replay exactly. An active
+    attack corrupts only the returned upload; node.local_weights stays honest.
     Raises NonFiniteWeights if training diverged for any node.
     """
     train_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, round_no, _TRAIN_TAG))
@@ -116,7 +118,7 @@ def local_round(nodes, arch: MlpArchitecture, cfg: TrainingConfig, round_no: int
             node.local_weights = row.copy()
     if diverged:
         raise NonFiniteWeights(sorted(diverged))
-    return [_upload(node, cfg, round_no) for node in nodes]
+    return (_upload(node, cfg, round_no) for node in nodes)
 
 
 def _upload(node: NodeState, cfg: TrainingConfig, round_no: int) -> np.ndarray:

@@ -107,7 +107,7 @@ class TestRunCommand:
         cfg.write_text(CONFIG + "rounds = 5\n")
         result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
         assert result.exit_code == 1
-        assert result.output == f"Error: {cfg}:16: key 'rounds' already set on line 11\n"
+        assert result.output == f"Error: {cfg}, line 16: key 'rounds' already set on line 11\n"
 
     def test_output_paths_are_refused_before_any_round(self, tmp_path, monkeypatch):
         """One file named by both outputs, or an output in a missing directory,

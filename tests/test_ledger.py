@@ -631,6 +631,34 @@ class TestPayloadCodecs:
         expected = struct.pack("<Q", vec.size) + vec.astype("<f8").tobytes()
         assert encode_params(values) == expected
 
+    def test_params_decode_to_a_read_only_view_of_an_immutable_payload(self):
+        vec = np.random.default_rng(2).normal(size=257)
+        blob = encode_params(vec)
+        copied = np.frombuffer(blob, dtype="<f8", count=257, offset=8).astype(np.float64)
+        for payload in (blob, memoryview(b"ab" + blob)[2:]):  # appended, and loaded from a dump
+            decoded = decode_params(payload)
+            assert decoded.tobytes() == copied.tobytes()
+            assert decoded.dtype == np.float64
+            assert np.shares_memory(decoded, np.frombuffer(payload, dtype=np.uint8))
+            assert not decoded.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                decoded[0] = 1.0
+
+    def test_params_in_a_writable_buffer_decode_to_a_copy(self):
+        """Only a writable buffer is copied: later writes to it do not reach
+        the decoded vector, which is the caller's own."""
+        vec = np.arange(5.0)
+        for buffer in (bytearray(encode_params(vec)), memoryview(bytearray(b"ab" + encode_params(vec)))[2:]):
+            decoded = decode_params(buffer)
+            assert not np.shares_memory(decoded, np.frombuffer(buffer, dtype=np.uint8))
+            buffer[8:16] = struct.pack("<d", 99.0)
+            assert np.array_equal(decoded, vec)
+            decoded[0] = -1.0
+            assert bytes(buffer[8:16]) == struct.pack("<d", 99.0)
+        # an immutable payload, by contrast, is viewed, not copied
+        blob = encode_params(vec)
+        assert np.shares_memory(decode_params(blob), np.frombuffer(blob, dtype=np.uint8))
+
     def test_params_must_be_1d(self):
         with pytest.raises(ValueError, match="1-D"):
             encode_params(np.ones((2, 3)))

@@ -52,7 +52,7 @@ def make_node(node_id=0, attack=None, seed=0, n=40):
 class TestLocalRound:
     def test_honest_upload_equals_internal_weights(self):
         node = make_node()
-        upload = local_round([node], ARCH, CFG, round_no=1)[0]
+        upload = next(local_round([node], ARCH, CFG, round_no=1))
         assert np.array_equal(upload, node.local_weights)
         assert upload is not node.local_weights
 
@@ -66,19 +66,19 @@ class TestLocalRound:
 
     def test_deterministic_per_round(self):
         a, b = make_node(), make_node()
-        up_a = local_round([a], ARCH, CFG, 3)[0]
-        up_b = local_round([b], ARCH, CFG, 3)[0]
+        up_a = next(local_round([a], ARCH, CFG, 3))
+        up_b = next(local_round([b], ARCH, CFG, 3))
         assert np.array_equal(up_a, up_b)
 
     def test_rounds_use_distinct_shuffles(self):
         a, b = make_node(), make_node()
-        up_a = local_round([a], ARCH, CFG, 1)[0]
-        up_b = local_round([b], ARCH, CFG, 2)[0]
+        up_a = next(local_round([a], ARCH, CFG, 1))
+        up_b = next(local_round([b], ARCH, CFG, 2))
         assert not np.array_equal(up_a, up_b)
 
     def test_sign_flip_negates_upload_only(self):
         node = make_node(attack=SignFlip(start_round=1))
-        upload = local_round([node], ARCH, CFG, 1)[0]
+        upload = next(local_round([node], ARCH, CFG, 1))
         assert np.array_equal(upload, -node.local_weights)
 
     def test_sign_flip_example_vector(self):
@@ -89,9 +89,9 @@ class TestLocalRound:
 
     def test_attack_waits_for_start_round(self):
         node = make_node(attack=SignFlip(start_round=5))
-        upload = local_round([node], ARCH, CFG, 4)[0]
+        upload = next(local_round([node], ARCH, CFG, 4))
         assert np.array_equal(upload, node.local_weights)
-        upload = local_round([node], ARCH, CFG, 5)[0]
+        upload = next(local_round([node], ARCH, CFG, 5))
         assert np.array_equal(upload, -node.local_weights)
 
     def test_noise_norm_concentrates(self):
@@ -104,7 +104,7 @@ class TestLocalRound:
         )
         weights = init_params(arch, 0)
         node = NodeState(0, split, weights.copy(), weights.copy(), AdditiveNoise(10.0, 1))
-        upload = local_round([node], arch, TrainingConfig(10, 1, 0.01, rng_seed=3), 1)[0]
+        upload = next(local_round([node], arch, TrainingConfig(10, 1, 0.01, rng_seed=3), 1))
         norm = np.linalg.norm(upload - node.local_weights)
         expected = 10.0 * np.sqrt(arch.param_count)
         assert 0.8 * expected < norm < 1.2 * expected
@@ -125,11 +125,11 @@ class TestLocalRound:
     def test_noise_reproducible_per_node_round(self):
         a = make_node(attack=AdditiveNoise(2.0, 1))
         b = make_node(attack=AdditiveNoise(2.0, 1))
-        assert np.array_equal(local_round([a], ARCH, CFG, 1)[0], local_round([b], ARCH, CFG, 1)[0])
+        assert np.array_equal(next(local_round([a], ARCH, CFG, 1)), next(local_round([b], ARCH, CFG, 1)))
         c = make_node(node_id=1, attack=AdditiveNoise(2.0, 1))
-        c_up = local_round([c], ARCH, CFG, 1)[0]
+        c_up = next(local_round([c], ARCH, CFG, 1))
         a2 = make_node(attack=AdditiveNoise(2.0, 1))
-        assert not np.array_equal(local_round([a2], ARCH, CFG, 1)[0] - a2.local_weights,
+        assert not np.array_equal(next(local_round([a2], ARCH, CFG, 1)) - a2.local_weights,
                                   c_up - c.local_weights)
 
 
@@ -147,9 +147,9 @@ class TestLocalRoundStack:
     def test_unequal_train_lengths_match_single_node_rounds(self):
         together = self.make_nodes()
         alone = self.make_nodes()
-        uploads = local_round(together, ARCH, CFG, 2)
+        uploads = list(local_round(together, ARCH, CFG, 2))
         for node, single, upload in zip(together, alone, uploads):
-            assert np.array_equal(upload, local_round([single], ARCH, CFG, 2)[0])
+            assert np.array_equal(upload, next(local_round([single], ARCH, CFG, 2)))
             assert np.array_equal(node.local_weights, single.local_weights)
         assert np.array_equal(uploads[3], -together[3].local_weights)
 
@@ -157,13 +157,13 @@ class TestLocalRoundStack:
         monkeypatch.setattr("scei.node._STACK_BYTES", 2 * 8 * ARCH.param_count)
         together = self.make_nodes()
         alone = self.make_nodes()
-        uploads = local_round(together, ARCH, CFG, 2)
+        uploads = list(local_round(together, ARCH, CFG, 2))
         for single, upload in zip(alone, uploads):
-            assert np.array_equal(upload, local_round([single], ARCH, CFG, 2)[0])
+            assert np.array_equal(upload, next(local_round([single], ARCH, CFG, 2)))
 
     def test_every_node_owns_its_weights(self):
         nodes = self.make_nodes()
-        uploads = local_round(nodes, ARCH, CFG, 1)
+        uploads = list(local_round(nodes, ARCH, CFG, 1))
         arrays = [n.local_weights for n in nodes] + uploads
         for i, a in enumerate(arrays):
             assert a.base is None
