@@ -204,7 +204,12 @@ def _build_splits(cfg: ExperimentConfig) -> list:
     return inject_skew(partition_non_iid(ds, cfg.partition), ds, cfg.partition)
 
 
-def _build_nodes(cfg: ExperimentConfig, splits, init_weights) -> list:
+def _build_nodes(cfg: ExperimentConfig, splits, book: Ledger) -> list:
+    """A node per split, both of its models at the initial weights, which go
+    into book first as round 0's GLOBAL_WEIGHTS; no later step reads the
+    vector, so it is gone once this returns."""
+    init_weights = init_params(cfg.arch, derive_seed(cfg.seed, _INIT_TAG))
+    book.put(0, RecordKind.GLOBAL_WEIGHTS, None, init_weights)
     attack_map = dict(cfg.attacks)
     return [
         NodeState(
@@ -262,12 +267,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # a config built in Python has not met build_config's check of the outputs
     _check_outputs(cfg.output_path, cfg.ledger_path)
     with _one_blas_thread():
-        splits = _build_splits(cfg)
-        init_weights = init_params(cfg.arch, derive_seed(cfg.seed, _INIT_TAG))
-        nodes = _build_nodes(cfg, splits, init_weights)
-
         book = Ledger()
-        book.put(0, RecordKind.GLOBAL_WEIGHTS, None, init_weights)
+        nodes = _build_nodes(cfg, _build_splits(cfg), book)
         state = ContractState.fresh([n.node_id for n in nodes])
 
         try:

@@ -27,6 +27,7 @@ import contextlib
 import enum
 import hashlib
 import os
+import queue
 import struct
 import threading
 from dataclasses import dataclass
@@ -120,22 +121,63 @@ def _parse_record(body) -> LedgerRecord:
     )
 
 
-def _walk(view):
-    """Each record of the dump in view, a memoryview, parsed in place.
+def _walk(view, offset=0, partial=False):
+    """Each record of the dump in view, a memoryview, parsed in place from
+    offset on; returns the offset where the walk stopped.
 
     This is the one frame walker: loads, buffer checks and file checks all go
-    through it. Raises LedgerFormatError at the first truncated or malformed frame.
+    through it. Raises LedgerFormatError at the first truncated or malformed
+    frame, except that with partial a frame running past the end of view ends
+    the walk, as the rest of the dump has yet to arrive.
     """
-    offset, size = 0, len(view)
+    size = len(view)
     while offset < size:
         if offset + 4 > size:
+            if partial:
+                break
             raise LedgerFormatError("truncated frame length")
         (length,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        if offset + length > size:
+        if offset + 4 + length > size:
+            if partial:
+                break
             raise LedgerFormatError("truncated record frame")
-        yield _parse_record(view[offset : offset + length])
-        offset += length
+        yield _parse_record(view[offset + 4 : offset + 4 + length])
+        offset += 4 + length
+    return offset
+
+
+# A dump file is read in chunks of this size, and the whole frames each chunk
+# completes go to the hashing workers before the next read. On a 2-vCPU box,
+# read_dump plus verify_chain of a 6 MB dump of 49 KB records ran at about
+# 965, 860 and 870 MB/s with 256 KB, 4 MB and 16 MB chunks, and of a 190 MB
+# dump of 1.6 MB records at 1,535, 1,455 and 1,480 MB/s.
+_READ_CHUNK = 256 * 1024
+
+
+class _DumpBuffer(np.ndarray):
+    """A loaded dump's bytes, hashable by identity: a memoryview hashes only
+    when what it views does, and then by content, so loaded records hash as
+    records holding bytes do."""
+
+    __hash__ = object.__hash__
+
+
+def _read_records(f):
+    """Each record of the open dump file f, parsed as soon as the chunk that
+    completes its frame is in. The file is read once into one uninitialised
+    buffer of its size, read-only once the file is in, and every payload is a
+    read-only view into it; the walk raises as _walk does for the bytes read."""
+    buf = np.empty(os.fstat(f.fileno()).st_size, np.uint8).view(_DumpBuffer)
+    into, view = memoryview(buf), memoryview(buf).toreadonly()
+    filled = offset = 0
+    while filled < len(buf):
+        got = f.readinto(into[filled : filled + _READ_CHUNK])
+        if not got:  # the file shrank since it was opened
+            break
+        filled += got
+        offset = yield from _walk(view[:filled], offset, partial=True)
+    buf.flags.writeable = False
+    yield from _walk(view[:filled], offset)
 
 
 def _file_frames(f):
@@ -165,34 +207,79 @@ def _usable_cpus():
     return () if getaffinity is None else frozenset(getaffinity(0))
 
 
-def _hash_apart(records, cpus) -> dict:
-    """Position -> whether the record there hashes to its stored hash, for
-    every record.
+@contextlib.contextmanager
+def _pinned(cpu):
+    """The calling thread runs the block pinned to cpu where the system lets it
+    (an OSError leaves it as it was), then gets its own CPU set back."""
+    own = None
+    with contextlib.suppress(OSError):
+        own = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+    try:
+        yield
+    finally:
+        if own is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, own)
 
-    The records are hashed on one thread per CPU, never more threads than
-    records, each pinned to its CPU where the system lets it (an OSError
-    leaves it unpinned) and taking the next position from one shared
-    iterator; with no cpus no thread starts and the map is empty. A record
-    whose hash raises gets no entry, so the walk raises when it reaches it.
+
+def _hash_apart(records, cpus, known=()):
+    """(held, hashed, error): the records walked, in order; position -> whether
+    the record there hashes to its stored hash; and the LedgerFormatError that
+    ended the walk, or None.
+
+    The calling thread walks the records and queues the position of each one
+    that known does not answer as soon as it is walked. One worker thread per
+    CPU of cpus but the first, pinned to its CPU where the system lets it (an
+    OSError leaves it unpinned), takes positions from that queue while the
+    walk goes on; the caller walks pinned to the first CPU, hashes what is
+    still queued once the walk ends, and then gets its own CPU set back. With
+    no cpus nothing is pinned and no worker starts, and nothing is pinned or
+    started before a record needs hashing. A record whose hash raises gets no
+    entry, so the walk of _first_bad_index raises when it reaches it.
     """
-    hashed = {}
-    # next() on a range iterator and a dict store are each one step under the
-    # interpreter lock, so every position goes to exactly one thread
-    todo = iter(range(len(records)))
+    held, hashed, error = [], dict(known), None
+    todo, workers, started = queue.SimpleQueue(), [], False
+
+    # the queue hands each position to exactly one getter, and a dict store is
+    # one step under the interpreter lock, so every position is hashed once
+    def hash_each(get):
+        for i in iter(get, None):
+            with contextlib.suppress(Exception):  # the walk hashes record i again and raises
+                hashed[i] = _hash_matches(held[i])
 
     def serve(cpu):
         with contextlib.suppress(OSError):
             os.sched_setaffinity(threading.get_native_id(), {cpu})
-        for i in todo:
-            with contextlib.suppress(Exception):  # the walk hashes record i again and raises
-                hashed[i] = _hash_matches(records[i])
+        hash_each(todo.get)
 
-    threads = [threading.Thread(target=serve, args=(cpu,)) for cpu in sorted(cpus)[: len(records)]]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return hashed
+    def stop():
+        for _ in workers:
+            todo.put(None)
+        for thread in workers:
+            thread.join()
+
+    with contextlib.ExitStack() as pool:
+        try:
+            for rec in records:
+                held.append(rec)
+                if len(held) - 1 in hashed:
+                    continue
+                if not started:
+                    started = True
+                    pool.callback(stop)
+                    for cpu in sorted(cpus)[1:]:
+                        thread = threading.Thread(target=serve, args=(cpu,))
+                        thread.start()
+                        workers.append(thread)
+                    if cpus:  # after the workers start, which would inherit the pin
+                        pool.enter_context(_pinned(min(cpus)))
+                todo.put(len(held) - 1)
+        except LedgerFormatError as exc:
+            error = exc
+        with contextlib.suppress(queue.Empty):
+            hash_each(todo.get_nowait)
+    return held, hashed, error
 
 
 def _first_bad_index(records, hashed=None):
@@ -203,9 +290,9 @@ def _first_bad_index(records, hashed=None):
     wrongly hashed, and a walker that raises LedgerFormatError marks its own
     index bad. An empty chain is bad at 0.
 
-    hashed maps a record's position in the walk to what _hash_apart found for
-    it, taken only once the record's index, place and link pass; a record
-    without an entry is hashed in place.
+    hashed maps a record's position in the walk to whether it hashes to its
+    stored hash, as _hash_apart found, taken only once the record's index,
+    place and link pass; a record without an entry is hashed in place.
     """
     hashed = hashed or {}
     prev, count = GENESIS_PREV_HASH, 0
@@ -224,19 +311,15 @@ def _first_bad_index(records, hashed=None):
     return (None if count else 0), count
 
 
-def _check_held(records) -> int | None:
+def _check_held(records, known=()) -> int | None:
     """First bad index of a chain held in memory, as _first_bad_index gives it:
-    the walked records are collected, all of them hashed across the usable
-    CPUs, and then the walk checks them in order. A walker that raised
+    the records are walked and hashed across the usable CPUs as _hash_apart
+    describes, except where known already says whether a position hashes
+    right, and then the walk checks them in order. A walker that raised
     LedgerFormatError marks the index after the last record it gave."""
-    held, malformed = [], False
-    try:
-        for rec in records:
-            held.append(rec)
-    except LedgerFormatError:
-        malformed = True
-    bad, count = _first_bad_index(held, _hash_apart(held, _usable_cpus()))
-    return count if bad is None and malformed else bad
+    held, hashed, error = _hash_apart(records, _usable_cpus(), known)
+    bad, count = _first_bad_index(held, hashed)
+    return count if bad is None and error else bad
 
 
 class Ledger:
@@ -247,6 +330,7 @@ class Ledger:
         self.records = [
             LedgerRecord(0, 0, RecordKind.GENESIS, None, b"", GENESIS_PREV_HASH, genesis_hash)
         ]
+        self._load_checks = {}  # position -> (record as loaded, whether it hashed right)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -268,11 +352,18 @@ class Ledger:
     def verify_chain(self) -> int | None:
         """None when the chain is intact, else the first bad record index.
 
-        Every record is hashed on worker threads, one per usable CPU, before
-        the walk checks the records in order; the index is the one a
-        record-by-record check gives.
+        A record that is still the same object at the position it was loaded
+        at reuses its load's hash check: records are frozen and a loaded
+        payload views a read-only copy of its dump, so it hashes as it did.
+        Every other record (appended, inserted, moved or replaced since, or
+        any record of a ledger built by appending) is hashed across the usable
+        CPUs as _hash_apart describes. Index, place and link are checked anew
+        for every record, in order, so the index is the one a record-by-record
+        check gives.
         """
-        return _check_held(self.records)
+        records = self.records
+        known = {i: ok for i, (rec, ok) in self._load_checks.items() if i < len(records) and records[i] is rec}
+        return _check_held(records, known)
 
     def query_round(self, round_no: int, kind: RecordKind) -> list:
         return [r for r in self.records if r.round_no == round_no and r.kind is kind]
@@ -300,13 +391,25 @@ class Ledger:
 
     @classmethod
     def from_bytes(cls, blob) -> "Ledger":
-        """Load a dump from a buffer, unverified, into one read-only copy of it
-        (blob itself when it is bytes): every payload is a view into that copy,
-        every hash is bytes, and later writes to blob do not reach the records."""
-        ledger = cls.__new__(cls)
-        ledger.records = list(_walk(memoryview(bytes(blob))))
-        if not ledger.records:
+        """Load a dump from a buffer into one read-only copy of it (blob itself
+        when it is bytes): every payload is a view into that copy, every hash
+        is bytes, and later writes to blob do not reach the records.
+
+        Every record is hashed as the dump is walked, and verify_chain reuses
+        those checks, but a bad hash or link is not refused here: only a
+        malformed or empty dump raises LedgerFormatError."""
+        return cls._load(_walk(memoryview(bytes(blob))))
+
+    @classmethod
+    def _load(cls, records) -> "Ledger":
+        held, hashed, error = _hash_apart(records, _usable_cpus())
+        if error is not None:
+            raise error
+        if not held:
             raise LedgerFormatError("empty dump")
+        ledger = cls.__new__(cls)
+        ledger.records = held
+        ledger._load_checks = {i: (held[i], ok) for i, ok in hashed.items()}
         return ledger
 
     def write_dump(self, path) -> None:
@@ -316,10 +419,12 @@ class Ledger:
 
     @classmethod
     def read_dump(cls, path) -> "Ledger":
-        """Load a dump file, unverified: it is read once, and the loaded records
-        view that one copy of the dump as from_bytes describes."""
-        with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
+        """Load a dump file as from_bytes loads a buffer, hashing each record
+        on the workers as soon as the chunk holding the end of its frame has
+        been read: the file is read once, and the records view that one
+        read-only copy of it."""
+        with open(path, "rb", buffering=0) as f:
+            return cls._load(_read_records(f))
 
 
 def verify_dump_bytes(blob: bytes) -> int | None:
@@ -328,8 +433,8 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     A frame that cannot be parsed marks its own index bad, unless an earlier
     record already failed; the records only live for this check, so their
     payloads stay views into blob. Since the whole dump is in memory, every
-    record is hashed on worker threads, one per usable CPU, before the walk
-    checks the records in order; the index is the one a record-by-record
+    record is hashed across the usable CPUs as it is walked, and then the
+    records are checked in order; the index is the one a record-by-record
     check gives.
     """
     return _check_held(_walk(memoryview(blob)))
@@ -375,7 +480,7 @@ def decode_params(payload: bytes) -> np.ndarray:
     """The values as a read-only little-endian f64 view of payload.
 
     Ledger payloads are immutable (bytes on append, read-only views of one
-    bytes copy on load), so no copy is made; a writable buffer such as a
+    read-only copy of the dump on load), so no copy is made; a writable buffer such as a
     bytearray is copied, so the vector never changes under its caller.
     """
     count = _count(payload, 8, "parameter")

@@ -183,6 +183,28 @@ class TestRoundMemory:
         assert len(refs) == 2
         assert alive == [[False, False]]
 
+    def test_the_initial_weights_are_gone_when_training_starts(self, monkeypatch):
+        """The genesis GLOBAL_WEIGHTS record and each node's two copies are all
+        that is left of the initial vector once the rounds begin."""
+        refs, alive = [], []
+        init, train = harness.init_params, harness.node_mod.local_round
+
+        def init_and_watch(*args):
+            weights = init(*args)
+            refs.append(weakref.ref(weights))
+            return weights
+
+        def train_and_look(*args):
+            if not alive:
+                alive.append([ref() is not None for ref in refs])
+            return train(*args)
+
+        monkeypatch.setattr(harness, "init_params", init_and_watch)
+        monkeypatch.setattr(harness.node_mod, "local_round", train_and_look)
+        run_experiment(small_config(Scheme.SCEI))
+        assert len(refs) == 1
+        assert alive == [[False]]
+
     def test_the_rounds_hold_little_beyond_the_bytes_they_append(self, monkeypatch):
         """From the first training call to the end of the run, traced memory
         peaks at the bytes the rounds append plus 1,194,739 bytes, 8.1

@@ -1,11 +1,15 @@
+import dataclasses
+import errno
 import hashlib
 import importlib.util
+import io
 import os
 import pathlib
 import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -204,6 +208,7 @@ class TestSerialization:
         for rec, original in zip(loaded.records, book.records):
             assert type(rec.prev_hash) is bytes and type(rec.hash) is bytes
             assert rec.payload.readonly and rec.payload == original.payload
+            assert hash(rec) == hash(original)
 
     def test_dump_file_bytes_equal_to_bytes(self, tmp_path):
         book = build_ledger(9, payload_size=1000)
@@ -319,9 +324,10 @@ class TestTamperDetection:
         assert _first_bad_index(iter(())) == (0, 0)
 
     def test_the_pooled_check_reports_the_first_fault(self, monkeypatch):
-        """Every record is hashed apart first: with a hash fault at k the pool
-        finds k and the records past it, the check reports k, and a malformed
-        frame right after the fault does not hide it."""
+        """Every record is hashed on the pool as it is walked: with a hash
+        fault at k the pool finds k and the records past it, or those before a
+        malformed frame right after k, the check reports k, and that malformed
+        frame does not hide it."""
         book = Ledger()
         for i in range(1, 14):
             book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * 64)
@@ -338,7 +344,10 @@ class TestTamperDetection:
             forged = book.records[:]
             rec = forged[k]
             forged[k] = LedgerRecord(rec.index, rec.round_no, rec.kind, None, b"\0" + rec.payload[1:], rec.prev_hash, rec.hash)
-            assert ledger_mod._hash_apart(forged, {0, 1}) == {i: i != k for i in range(14)}
+            assert ledger_mod._hash_apart(forged, {0, 1}) == (forged, {i: i != k for i in range(14)}, None)
+            held, hashed, error = ledger_mod._hash_apart(stream(forged, fail_at=k + 1), {0, 1})
+            assert held == forged[: k + 1] and hashed == {i: i != k for i in range(k + 1)}
+            assert isinstance(error, LedgerFormatError) == (k + 1 < len(forged))
             assert ledger_mod._check_held(stream(forged)) == k
             assert ledger_mod._check_held(stream(forged, fail_at=k + 1)) == k
 
@@ -357,16 +366,17 @@ class TestTamperDetection:
         both = LedgerRecord(1, -1, first.kind, None, first.payload, b"\1" * 32, first.hash)
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            assert 1 not in ledger_mod._hash_apart([genesis, unpackable], cpus)
+            assert ledger_mod._hash_apart([genesis, unpackable], cpus)[1] == {0: True}
             with pytest.raises(struct.error):
                 ledger_mod._check_held([genesis, unpackable])
             assert ledger_mod._check_held([genesis, mislinked, after]) == 1
             assert ledger_mod._check_held([genesis, both, after]) == 1
 
     def test_every_large_record_is_hashed_once_under_contention(self, monkeypatch):
-        """Eight workers on this machine's CPUs, most of them absent so their
-        workers run unpinned, with the interpreter lock passed as often as it
-        can be: every record gets exactly one hash and one entry."""
+        """Eight CPUs, seven of them absent from this machine so their workers
+        run unpinned beside the walking caller, with the interpreter lock
+        passed as often as it can be: every record is walked once and gets
+        exactly one hash and one entry."""
         records = build_ledger(60, payload_size=64).records
         hashed_ids = []
         real = ledger_mod._hash_matches
@@ -374,16 +384,18 @@ class TestTamperDetection:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            found = ledger_mod._hash_apart(records, set(range(os.cpu_count(), os.cpu_count() + 7)) | {0})
+            held, found, error = ledger_mod._hash_apart(records, set(range(os.cpu_count(), os.cpu_count() + 7)) | {0})
         finally:
             sys.setswitchinterval(interval)
+        assert held == records and error is None
         assert found == {i: True for i in range(len(records))}
         assert sorted(hashed_ids) == list(range(len(records)))
 
     def test_workers_follow_the_usable_cpus(self):
-        """verify_dump_bytes never imports concurrent.futures; a 3-record dump
-        starts two workers on two usable CPUs, one on one CPU, and none where
-        the platform cannot say which CPUs are usable."""
+        """verify_dump_bytes never imports concurrent.futures; the calling
+        thread is the first worker, so a 3-record dump starts one worker
+        thread on two usable CPUs, none on one CPU, and none where the
+        platform cannot say which CPUs are usable."""
         script = (
             "import os, sys, threading\n"
             "started = []\n"
@@ -412,7 +424,7 @@ class TestTamperDetection:
             text=True,
             check=True,
         )
-        assert done.stdout == "2 1 0 False\n"
+        assert done.stdout == "1 0 0 False\n"
 
     @pytest.mark.parametrize(
         "fault",
@@ -478,10 +490,16 @@ class TestTamperDetection:
         ["edit 0x01", "edit 0x5a", "edit 0xff", "truncate", "length"],
     )
     def test_every_single_fault_agrees_when_the_workers_hash_nothing(self, fault, tmp_path, monkeypatch):
-        """The same faults with every record due for the pool but no result
-        from it: the walk hashes each record in place."""
+        """The same faults with every record walked and due for the pool but
+        no result from it: the walk hashes each record in place."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(ledger_mod, "_hash_apart", lambda records, cpus: {})
+        real = ledger_mod._hash_apart
+
+        def nothing_hashed(records, cpus, known=()):
+            held, _, error = real(records, cpus, known)
+            return held, {}, error
+
+        monkeypatch.setattr(ledger_mod, "_hash_apart", nothing_hashed)
         self.test_every_single_fault_agrees_with_the_independent_reader(fault, tmp_path)
 
     def test_any_affinity_set_gives_the_same_index(self, monkeypatch):
@@ -509,6 +527,135 @@ class TestTamperDetection:
                         assert loaded.verify_chain() == expected
         finally:
             sys.setswitchinterval(interval)
+
+
+def _load_from(loader, blob, tmp_path):
+    if loader == "buffer":
+        return Ledger.from_bytes(blob)
+    path = tmp_path / "ledger.bin"
+    path.write_bytes(blob)
+    return Ledger.read_dump(path)
+
+
+class TestLoadChecks:
+    """A load hashes every record once, and verify_chain reuses a record's
+    result only while that record object is at the position it was loaded at."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """Every record hashed from here on, once per hash."""
+        seen = []
+        real = ledger_mod._hash_matches
+        monkeypatch.setattr(ledger_mod, "_hash_matches", lambda rec: seen.append(rec) or real(rec))
+        return seen
+
+    @pytest.mark.parametrize("loader", ["file", "buffer"])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_what_changed_after_the_load_is_hashed(self, loader, k, hashed, tmp_path):
+        """A record replaced with its old hash is reported at k, a
+        self-consistent forgery at k+1, a record inserted or appended with a
+        wrong hash at its position and a deletion at k; exactly the records
+        that are new or moved since the load are hashed, and an untouched
+        chain hashes none."""
+        blob = build_ledger(8, payload_size=4000).to_bytes()
+
+        def check(edit):
+            hashed.clear()
+            loaded = _load_from(loader, blob, tmp_path)
+            assert sorted(rec.index for rec in hashed) == list(range(9))
+            records = loaded.records
+            rec = records[k]
+            payload = bytes([rec.payload[0] ^ 1]) + bytes(rec.payload[1:])
+            hashed.clear()
+            expected, fresh = edit(records, rec, payload)
+            assert loaded.verify_chain() == expected
+            assert sorted(map(id, hashed)) == sorted(map(id, fresh))
+
+        check(lambda records, rec, payload: (None, []))
+
+        def replaced(records, rec, payload):
+            records[k] = dataclasses.replace(rec, payload=payload)
+            return k, [records[k]]
+
+        def forged(records, rec, payload):
+            digest = compute_hash(k, rec.round_no, rec.kind, rec.node_id, payload, rec.prev_hash)
+            records[k] = dataclasses.replace(rec, payload=payload, hash=digest)
+            return k + 1, [records[k]]
+
+        def inserted(records, rec, payload):
+            records.insert(k, dataclasses.replace(rec, payload=payload))
+            return k, records[k:]
+
+        def deleted(records, rec, payload):
+            del records[k]
+            return k, records[k:]
+
+        def appended(records, rec, payload):
+            head = records[-1]
+            records.append(LedgerRecord(9, 3, rec.kind, rec.node_id, payload, head.hash, rec.hash))
+            return 9, records[-1:]
+
+        for edit in (replaced, forged, inserted, deleted, appended):
+            check(edit)
+
+    def test_the_head_can_go_and_an_honest_append_verifies(self, hashed):
+        loaded = Ledger.from_bytes(build_ledger(8).to_bytes())
+        del loaded.records[-1]
+        hashed.clear()
+        assert loaded.verify_chain() is None and hashed == []
+        appended = loaded.append(3, RecordKind.ACCURACY_LIST, None, b"late")
+        assert loaded.verify_chain() is None and hashed == [appended]
+
+    def test_writes_to_the_loaded_bytearray_reach_neither_records_nor_check(self):
+        """from_bytes copies a bytearray once: mending or zeroing it after the
+        load leaves the records and verify_chain's answer as they were."""
+        blob = bytearray(build_ledger(8, payload_size=64).to_bytes())
+        at = _framed(bytes(blob))[4] + 4 + 34 + 10  # a payload byte of record 4
+        blob[at] ^= 1
+        loaded = Ledger.from_bytes(blob)
+        records = [dataclasses.replace(rec, payload=bytes(rec.payload)) for rec in loaded.records]
+        assert loaded.verify_chain() == 4
+        for write in (lambda: blob.__setitem__(at, blob[at] ^ 1), lambda: blob.__setitem__(slice(None), bytes(len(blob)))):
+            write()
+            assert loaded.verify_chain() == 4 and loaded.records == records
+
+    def test_a_load_leaves_the_caller_as_it_found_it(self, tmp_path, monkeypatch):
+        """After a clean load, a malformed dump and an OSError raised mid-read,
+        the calling thread has its own CPU set back and no worker is left;
+        mid-read, it walked pinned to its first CPU beside one worker per
+        other usable CPU."""
+        real = os.sched_getaffinity
+        own, threads = real(0), threading.active_count()
+        lacking = os.cpu_count()  # a CPU this machine lacks: at least one worker starts
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: real(pid) | {lacking})
+        blob = build_ledger(20, payload_size=100_000).to_bytes()
+        path = tmp_path / "ledger.bin"
+
+        def as_found():
+            assert real(0) == own and threading.active_count() == threads
+
+        for dump in (blob, blob[:-5]):
+            path.write_bytes(dump)
+            for load in (lambda: Ledger.read_dump(path), lambda: Ledger.from_bytes(dump)):
+                assert len(_load(load) or ()) == (21 if dump is blob else 0)
+                as_found()
+
+        during = []
+
+        class FailingRead(io.FileIO):
+            def readinto(self, b):
+                during.append((real(0), threading.active_count()))
+                if len(during) == 3:
+                    raise OSError(errno.EIO, "read failed")
+                return super().readinto(b)
+
+        path.write_bytes(blob)
+        monkeypatch.setattr(ledger_mod, "open", lambda file, mode, buffering: FailingRead(file), raising=False)
+        with pytest.raises(OSError, match="read failed"):
+            Ledger.read_dump(path)
+        as_found()
+        assert during[0] == (own, threads)
+        assert during[2] == ({min(own)}, threads + len(own))
 
 
 def _framed(blob):
