@@ -60,7 +60,6 @@ from .model import (
     MlpArchitecture,
     TrainingConfig,
     evaluate,
-    forward,
     init_params,
     loss_and_grad,
     sgd_train,

@@ -68,14 +68,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def input_dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self) else 0
-
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(self.features[idx], self.labels[idx])
@@ -216,10 +208,12 @@ def generate_synthetic(num_classes, per_class, input_dim, separation, seed) -> L
             direction[0] = 1.0
             norm = 1.0
         centers[c] = separation * direction / norm
-    blocks = []
+    # each class is drawn straight into its rows, which hold one copy of the data
+    features = np.empty((num_classes, per_class, input_dim))
     for c in range(num_classes):
-        blocks.append(centers[c] + rng.standard_normal((per_class, input_dim)))
-    features = np.vstack(blocks)
+        rng.standard_normal(out=features[c])
+        features[c] += centers[c]
+    features = features.reshape(-1, input_dim)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return LabeledDataset(features, labels)
 

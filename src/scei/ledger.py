@@ -233,7 +233,8 @@ def _hash_apart(records, cpus, known=()):
     CPU of cpus but the first, pinned to its CPU where the system lets it (an
     OSError leaves it unpinned), takes positions from that queue while the
     walk goes on; the caller walks pinned to the first CPU, hashes what is
-    still queued once the walk ends, and then gets its own CPU set back. With
+    still queued once the walk ends (or drops it unhashed when the walk
+    raised), and then gets its own CPU set back. With
     no cpus nothing is pinned and no worker starts, and nothing is pinned or
     started before a record needs hashing. A record whose hash raises gets no
     entry, so the walk of _first_bad_index raises when it reaches it.
@@ -278,7 +279,11 @@ def _hash_apart(records, cpus, known=()):
         except LedgerFormatError as exc:
             error = exc
         with contextlib.suppress(queue.Empty):
-            hash_each(todo.get_nowait)
+            if error is None:
+                hash_each(todo.get_nowait)
+            else:  # a refused walk keeps no result: drop what is still queued
+                for _ in iter(todo.get_nowait, None):
+                    pass
     return held, hashed, error
 
 

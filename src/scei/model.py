@@ -109,8 +109,6 @@ def _unpack(params, shapes) -> list:
 
 def _as_batch(batch, arch: MlpArchitecture) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(1, -1)
     if x.ndim != 2 or x.shape[1] != arch.input_dim:
         raise ValueError(
             f"batch must have {arch.input_dim} feature columns, got shape {x.shape}"
@@ -138,21 +136,10 @@ def _forward_tail(tail, z1):
     return a1, z2, a2, logits
 
 
-def _forward_cached(params, arch, x):
-    return _forward_layers(unpack_params(params, arch), x)
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def forward(params: np.ndarray, arch: MlpArchitecture, batch) -> np.ndarray:
-    """Class-probability matrix for a feature batch (rows sum to 1)."""
-    x = _as_batch(batch, arch)
-    *_, logits = _forward_cached(params, arch, x)
-    return _softmax(logits)
 
 
 def loss_and_grad(params: np.ndarray, arch: MlpArchitecture, batch, labels, out=None):
@@ -242,10 +229,18 @@ def sgd_train(
     which trains as the one-row stack (params[None], [dataset]). Every node
     trains on the same shuffle, one loss_and_grad call per step for all K.
 
-    Does not mutate the input; bit-reproducible for a fixed cfg.rng_seed.
+    Trains `params` in place and returns it: a caller that needs the starting
+    values keeps its own copy. Anything but a writable float64 array is
+    refused before the first step. Bit-reproducible for a fixed cfg.rng_seed.
     """
-    trained = np.array(params, dtype=np.float64, copy=True)
-    stack, datasets = (trained, list(dataset)) if trained.ndim > 1 else (trained[None], [dataset])
+    if not (isinstance(params, np.ndarray) and params.dtype == np.float64 and params.flags.writeable):
+        given = (
+            f"{'read-only ' * (not params.flags.writeable)}{params.dtype} array"
+            if isinstance(params, np.ndarray)
+            else type(params).__name__
+        )
+        raise ValueError(f"sgd_train trains params in place, so it needs a writable float64 array, got {given}")
+    stack, datasets = (params, list(dataset)) if params.ndim > 1 else (params[None], [dataset])
     if len(datasets) != len(stack):
         raise ValueError(f"{len(stack)} parameter rows but {len(datasets)} datasets")
     if len({len(ds) for ds in datasets}) != 1:
@@ -269,7 +264,7 @@ def sgd_train(
             loss_and_grad(stack, arch, x_epoch[..., start:stop, :], y_epoch[..., start:stop], out=grad)
             grad *= cfg.learning_rate
             stack -= grad
-    return trained
+    return params
 
 
 def evaluate(params: np.ndarray, arch: MlpArchitecture, test_set: LabeledDataset) -> float:

@@ -92,7 +92,8 @@ def local_round(nodes, arch: MlpArchitecture, cfg: TrainingConfig, round_no: int
     come back in that order, each built only when the iterator reaches it,
     so a caller that stores each as it comes holds one at a time. Nodes with
     equal train sizes train together in stacked sgd_train calls of at most
-    _STACK_BYTES of parameters, and each gets its own copy of its row. The
+    _STACK_BYTES of parameters; sgd_train trains a fresh stack of their
+    personal models in place, and each node gets its own copy of its row. The
     shuffle seed derives from (cfg.rng_seed, round), the attack noise seed
     from (cfg.rng_seed, node_id, round), so runs replay exactly. An active
     attack corrupts only the returned upload; node.local_weights stays honest.

@@ -325,9 +325,10 @@ class TestTamperDetection:
 
     def test_the_pooled_check_reports_the_first_fault(self, monkeypatch):
         """Every record is hashed on the pool as it is walked: with a hash
-        fault at k the pool finds k and the records past it, or those before a
-        malformed frame right after k, the check reports k, and that malformed
-        frame does not hide it."""
+        fault at k the pool finds k and the records past it, the check reports
+        k, and a malformed frame right after k does not hide it. A walk that
+        raises keeps whatever results the worker had already found, each one
+        right, and the check hashes the rest in place."""
         book = Ledger()
         for i in range(1, 14):
             book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * 64)
@@ -346,10 +347,30 @@ class TestTamperDetection:
             forged[k] = LedgerRecord(rec.index, rec.round_no, rec.kind, None, b"\0" + rec.payload[1:], rec.prev_hash, rec.hash)
             assert ledger_mod._hash_apart(forged, {0, 1}) == (forged, {i: i != k for i in range(14)}, None)
             held, hashed, error = ledger_mod._hash_apart(stream(forged, fail_at=k + 1), {0, 1})
-            assert held == forged[: k + 1] and hashed == {i: i != k for i in range(k + 1)}
+            assert held == forged[: k + 1] and hashed.items() <= {i: i != k for i in range(k + 1)}.items()
             assert isinstance(error, LedgerFormatError) == (k + 1 < len(forged))
+            if error is None:
+                assert len(hashed) == k + 1
             assert ledger_mod._check_held(stream(forged)) == k
             assert ledger_mod._check_held(stream(forged, fail_at=k + 1)) == k
+
+    def test_a_refused_load_hashes_nothing_the_walk_queued(self, monkeypatch):
+        """A load that ends in LedgerFormatError keeps no result, so with the
+        caller as the only worker it hashes none of the records it walked;
+        verify_dump_bytes still hashes them in place and reports the cut."""
+        book = Ledger()
+        for i in range(20):
+            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * 100_000)
+        cut = book.to_bytes()[:-5]
+        hashed = []
+        real = ledger_mod._hash_matches
+        monkeypatch.setattr(ledger_mod, "_hash_matches", lambda rec: hashed.append(rec.index) or real(rec))
+        monkeypatch.setattr(ledger_mod, "_usable_cpus", lambda: frozenset({min(os.sched_getaffinity(0))}))
+        with pytest.raises(LedgerFormatError, match="truncated record frame"):
+            Ledger.from_bytes(cut)
+        assert hashed == []
+        assert verify_dump_bytes(cut) == 20
+        assert hashed == list(range(20))
 
     def test_a_hash_that_raises_on_a_worker_raises_on_the_walk(self, monkeypatch):
         """A record whose header cannot be packed gets no result from the pool

@@ -9,8 +9,8 @@ from scei.model import (
     MlpArchitecture,
     TrainingConfig,
     evaluate,
+    _forward_layers,
     evaluate_split,
-    forward,
     init_params,
     loss_and_grad,
     sgd_train,
@@ -39,13 +39,11 @@ def sample_differentiable_point(rng, arch, batch_size, margin=1e-3):
     """Draw (params, batch, labels) keeping every ReLU pre-activation away from
     zero; the loss is not differentiable at kinks, so the finite-difference
     oracle is only valid with a safe margin around them."""
-    from scei.model import _forward_cached
-
     while True:
         params = init_params(arch, int(rng.integers(0, 2**31)))
         batch = rng.normal(size=(batch_size, arch.input_dim))
         labels = rng.integers(0, arch.output_dim, size=batch_size)
-        z1, _, z2, _, _ = _forward_cached(params, arch, batch)
+        z1, _, z2, _, _ = _forward_layers(unpack_params(params, arch), batch)
         if min(np.abs(z1).min(), np.abs(z2).min()) > margin:
             return params, batch, labels
 
@@ -96,28 +94,19 @@ class TestInitParams:
 
 
 class TestForward:
+    """The forward pass, seen through the loss and the accuracy it feeds."""
+
     def test_zero_params_give_uniform(self):
+        # a uniform prediction costs log 2 on every example, whatever its label
         params = np.zeros(TINY.param_count)
-        probs = forward(params, TINY, np.ones((3, 4)))
-        assert np.allclose(probs, 0.5)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        params = init_params(TINY, 1)
-        probs = forward(params, TINY, rng.normal(size=(17, 4)))
-        assert np.all(probs >= 0)
-        assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
-
-    def test_single_example_row_sums_to_one(self):
-        params = init_params(TINY, 2)
-        probs = forward(params, TINY, np.arange(4.0))
-        assert probs.shape == (1, 2)
-        assert abs(probs.sum() - 1.0) < 1e-9
+        for labels in ([0, 0, 0], [1, 1, 1], [0, 1, 1]):
+            loss, _ = loss_and_grad(params, TINY, np.ones((3, 4)), np.array(labels))
+            assert abs(loss - math.log(2)) < 1e-12, labels
 
     def test_dimension_mismatch_rejected(self):
         params = init_params(TINY, 1)
-        with pytest.raises(ValueError):
-            forward(params, TINY, np.ones((3, 5)))
+        with pytest.raises(ValueError, match="4 feature columns"):
+            evaluate(params, TINY, LabeledDataset(np.ones((3, 5)), np.zeros(3, dtype=int)))
 
     def test_hand_computed_forward(self):
         # (2, [2, 2], 2) net evaluated by scalar arithmetic, independent of the engine
@@ -142,9 +131,9 @@ class TestForward:
         o1 = a2a * 0.3 + a2b * 0.6 + 0.05
         o2 = a2a * -0.3 + a2b * 0.9 + -0.05
         e1, e2 = math.exp(o1), math.exp(o2)
-        expected = np.array([[e1 / (e1 + e2), e2 / (e1 + e2)]])
-        probs = forward(params, arch, np.array([[x1, x2]]))
-        assert np.allclose(probs, expected, atol=1e-12)
+        for label, e in ((0, e1), (1, e2)):
+            loss, _ = loss_and_grad(params, arch, np.array([[x1, x2]]), np.array([label]))
+            assert abs(loss - -math.log(e / (e1 + e2))) < 1e-12, label
 
 
 class TestLossAndGrad:
@@ -201,14 +190,14 @@ class TestSgdTrain:
     def test_zero_learning_rate_is_identity(self):
         params = init_params(TINY, 3)
         cfg = TrainingConfig(batch_size=4, local_epochs=2, learning_rate=0.0, rng_seed=0)
-        out = sgd_train(params, TINY, cfg, _small_dataset())
+        out = sgd_train(params.copy(), TINY, cfg, _small_dataset())
         assert np.array_equal(out, params)
 
     def test_single_full_batch_step_matches_manual_update(self):
         ds = _small_dataset(seed=5)
         params = init_params(TINY, 4)
         cfg = TrainingConfig(batch_size=len(ds), local_epochs=1, learning_rate=0.05, rng_seed=0)
-        out = sgd_train(params, TINY, cfg, ds)
+        out = sgd_train(params.copy(), TINY, cfg, ds)
         # one full-batch step is order-independent, so the shuffle cannot matter
         _, grad = loss_and_grad(params, TINY, ds.features, ds.labels)
         expected = params - 0.05 * grad
@@ -218,17 +207,31 @@ class TestSgdTrain:
         ds = _small_dataset(seed=6)
         params = init_params(TINY, 4)
         cfg = TrainingConfig(batch_size=3, local_epochs=3, learning_rate=0.1, rng_seed=11)
-        a = sgd_train(params, TINY, cfg, ds)
-        b = sgd_train(params, TINY, cfg, ds)
+        a = sgd_train(params.copy(), TINY, cfg, ds)
+        b = sgd_train(params.copy(), TINY, cfg, ds)
         assert np.array_equal(a, b)
 
-    def test_does_not_mutate_input(self):
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_trains_the_array_it_is_handed(self, k):
         ds = _small_dataset(seed=7)
-        params = init_params(TINY, 4)
-        before = params.copy()
+        start = init_params(TINY, 4) if k is None else np.stack([init_params(TINY, i) for i in range(k)])
+        params = start.copy()
         cfg = TrainingConfig(batch_size=3, local_epochs=1, learning_rate=0.1, rng_seed=0)
-        sgd_train(params, TINY, cfg, ds)
-        assert np.array_equal(params, before)
+        out = sgd_train(params, TINY, cfg, ds if k is None else [ds] * k)
+        assert out is params
+        assert not np.array_equal(params, start)
+
+    def test_read_only_and_float32_params_refused_before_training(self):
+        ds = _small_dataset(seed=7)
+        cfg = TrainingConfig(batch_size=3, local_epochs=1, learning_rate=0.1, rng_seed=0)
+        frozen = init_params(TINY, 4)
+        frozen.flags.writeable = False
+        single = init_params(TINY, 4).astype(np.float32)
+        for params, given in ((frozen, "read-only float64 array"), (single, "float32 array"), (list(frozen), "list")):
+            before = np.array(params)
+            with pytest.raises(ValueError, match=f"needs a writable float64 array, got {given}$"):
+                sgd_train(params, TINY, cfg, ds)
+            assert np.array_equal(np.array(params), before), given
 
     def test_output_stays_finite(self):
         ds = _small_dataset(seed=8, n=30)
@@ -281,14 +284,12 @@ class TestStackedTraining:
     )
     def test_stack_equals_separate_calls(self, arch, k, n, batch, epochs):
         datasets = _node_datasets(arch, k, n, seed=n * 100 + batch + k)
-        stack = np.stack([init_params(arch, 10 + i) for i in range(k)])
-        before = stack.copy()
+        start = np.stack([init_params(arch, 10 + i) for i in range(k)])
         cfg = TrainingConfig(batch_size=batch, local_epochs=epochs, learning_rate=0.1, rng_seed=5)
-        trained = sgd_train(stack, arch, cfg, datasets)
-        assert trained.shape == stack.shape
-        assert np.array_equal(stack, before)
+        trained = sgd_train(start.copy(), arch, cfg, datasets)
+        assert trained.shape == start.shape
         for i in range(k):
-            assert np.array_equal(trained[i], sgd_train(stack[i], arch, cfg, datasets[i])), i
+            assert np.array_equal(trained[i], sgd_train(start[i].copy(), arch, cfg, datasets[i])), i
 
     def test_stacked_loss_and_grad_rows_match_single_calls(self):
         rng = np.random.default_rng(4)
@@ -402,9 +403,9 @@ class TestEvaluate:
         params = init_params(TINY, 13)
         ds = LabeledDataset(rng.normal(size=(40, 4)), rng.integers(0, 2, size=40))
         acc = evaluate(params, TINY, ds)
-        probs = forward(params, TINY, ds.features)
+        *_, logits = _forward_layers(unpack_params(params, TINY), ds.features)
         correct = 0
-        for row, label in zip(probs, ds.labels):
+        for row, label in zip(logits, ds.labels):
             best = 0
             for j in range(1, len(row)):
                 if row[j] > row[best]:
