@@ -69,6 +69,8 @@ from .node import (
     NodeState,
     NonFiniteWeights,
     SignFlip,
+    TrainerExited,
+    Trainers,
     apply_alpha,
     derive_seed,
     evaluate_candidates,

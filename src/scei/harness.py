@@ -262,8 +262,8 @@ def _one_blas_thread():
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Build data and nodes, run the full round loop on one BLAS thread,
-    optionally write outputs."""
+    """Build data and nodes, run the full round loop on one BLAS thread with
+    a trainer process per spare CPU, optionally write outputs."""
     # a config built in Python has not met build_config's check of the outputs
     _check_outputs(cfg.output_path, cfg.ledger_path)
     with _one_blas_thread():
@@ -271,9 +271,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         nodes = _build_nodes(cfg, _build_splits(cfg), book)
         state = ContractState.fresh([n.node_id for n in nodes])
 
+        # forked here, so each trainer holds the node datasets and the BLAS pin
+        trainers = node_mod.Trainers(nodes, cfg.arch)
         try:
-            metrics, state = _run_rounds(nodes, book, state, cfg)
+            metrics, state = _run_rounds(nodes, book, state, cfg, trainers)
         finally:
+            trainers.close()
             # the records so far, also when the rounds end in an exception:
             # the ones up to it are the ones that explain it
             if cfg.ledger_path:
@@ -284,8 +287,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(metrics=tuple(metrics), ledger=book, state=state)
 
 
-def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig):
-    """The protocol loop proper; nodes may be hand-built, which the tests use."""
+def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig, trainers=None):
+    """The protocol loop proper; nodes may be hand-built, which the tests use.
+    trainers, a node.Trainers over these nodes, trains shares of each round
+    beside this process."""
     screened = cfg.scheme is Scheme.SCEI
     aggregated = cfg.scheme is not Scheme.LOCAL
     # None: negotiated every round
@@ -302,8 +307,8 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
         # put; each node is charged an equal share of the stacked training time
         start = time.perf_counter()
         try:
-            outgoing = node_mod.local_round([by_id[n] for n in active], cfg.arch, cfg.training, round_no)
-        except node_mod.NonFiniteWeights as exc:
+            outgoing = node_mod.local_round([by_id[n] for n in active], cfg.arch, cfg.training, round_no, trainers)
+        except (node_mod.NonFiniteWeights, node_mod.TrainerExited) as exc:
             raise ExperimentAbort(f"round {round_no}: {exc}") from exc
         train_s = (time.perf_counter() - start) / len(active)
         ledger_s = {}

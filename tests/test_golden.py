@@ -73,3 +73,16 @@ def test_sample_config_matches_golden_values(tmp_path):
 @pytest.mark.parametrize("scheme", ["fedavg", "local", "fixed_alpha"])
 def test_baseline_schemes_match_golden_values(tmp_path, scheme):
     check_golden(scheme, tmp_path)
+
+
+@pytest.mark.parametrize("cpus", ["one", "two", "unknown"])
+def test_golden_values_hold_on_any_cpu_count(cpus, tmp_path, monkeypatch):
+    """One usable CPU forks no trainer process, two fork one, and a platform
+    that cannot say which CPUs a process may use forks none: the same pins."""
+    if cpus == "unknown":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        own = min(os.sched_getaffinity(0))
+        usable = {"one": {own}, "two": {own, own + 1}}[cpus]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable)
+    check_golden("scei", tmp_path)

@@ -1,6 +1,8 @@
 import math
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -55,6 +57,14 @@ def small_config(scheme, seed=1, rounds=3, fixed_alpha=None, attacks=(), num_nod
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so a run forks one trainer process beside itself
+    whatever this machine has."""
+    own = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {own, own + 1})
 
 
 class TestSchemeReductions:
@@ -381,7 +391,7 @@ class TestAttacksAndDefence:
                 expelled[seed] = pairs
         assert expelled == {5: [(9, 12)], 8: [(1, 5), (9, 5)]}
 
-    def test_all_nodes_flagged_aborts_with_round(self, monkeypatch):
+    def test_all_nodes_flagged_aborts_with_round(self, monkeypatch, two_cpus):
         import scei.contract as contract_mod
         from scei.contract import DefenceReport
 
@@ -398,6 +408,7 @@ class TestAttacksAndDefence:
         monkeypatch.setattr("scei.harness.contract.detect_anomalies", flag_everyone)
         with pytest.raises(ExperimentAbort, match="round 1"):
             run_experiment(small_config(Scheme.SCEI))
+        assert multiprocessing.active_children() == []
 
 
     def test_diverging_learning_rate_aborts(self, tmp_path):
@@ -830,7 +841,7 @@ class Interrupted(BaseException):
 
 
 @pytest.mark.parametrize("error", [RuntimeError("a fault in round 2"), Interrupted("stopped in round 2")])
-def test_a_run_ending_in_any_exception_leaves_its_dump(error, monkeypatch, tmp_path):
+def test_a_run_ending_in_any_exception_leaves_its_dump(error, monkeypatch, tmp_path, two_cpus):
     """A run that dies of anything raised during the rounds, not only of
     ExperimentAbort, writes the records it appended before the raise: here
     the fifth candidate evaluation, the first of round 2, raises after round
@@ -849,6 +860,7 @@ def test_a_run_ending_in_any_exception_leaves_its_dump(error, monkeypatch, tmp_p
     with pytest.raises(type(error)) as raised:
         run_experiment(small_config(Scheme.SCEI, ledger_path=str(dump)))
     assert raised.value is error  # same type, same message
+    assert multiprocessing.active_children() == []
     assert verify_dump_file(dump) == (None, 19)
     book = Ledger.read_dump(dump)
     assert [rec.round_no for rec in book.records] == [0, 0] + [1] * 11 + [2] * 6
@@ -857,6 +869,88 @@ def test_a_run_ending_in_any_exception_leaves_its_dump(error, monkeypatch, tmp_p
         (RecordKind.SUSPICION_SET, None),
         (RecordKind.GLOBAL_WEIGHTS, None),
     ]
+
+
+def _small_run_head():
+    return run_experiment(small_config(Scheme.SCEI, rounds=2)).ledger.head_hash
+
+
+class TestTrainerProcesses:
+    """A run trains shares of each round in forked trainer processes, one per
+    usable CPU beyond the first; it never hangs on them or leaves one behind."""
+
+    def test_a_run_forks_its_trainers_and_reaps_them(self, monkeypatch):
+        """One usable CPU forks no trainer and two fork one; both runs record
+        the same ledger, neither leaves a process behind, and the trainer
+        returns by itself once the run closes its pipe."""
+        forked = []
+        real = harness.node_mod.Trainers
+
+        def recorded(*args):
+            trainers = real(*args)
+            forked.append(list(trainers._procs))
+            return trainers
+
+        monkeypatch.setattr(harness.node_mod, "Trainers", recorded)
+        own = min(os.sched_getaffinity(0))
+        heads = []
+        for cpus in ({own}, {own, own + 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            heads.append(run_experiment(small_config(Scheme.SCEI, rounds=2)).ledger.head_hash)
+            assert multiprocessing.active_children() == []
+        assert [len(procs) for procs in forked] == [0, 1]
+        assert forked[1][0].exitcode == 0
+        assert heads[0] == heads[1]
+
+    def test_a_run_in_a_pool_worker_trains_alone(self, two_cpus):
+        """A pool's worker is a daemonic process, which may start none: its
+        run forks no trainer and records the ledger of a run outside it."""
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            head = pool.apply_async(_small_run_head).get(timeout=60)
+        assert head == _small_run_head()
+
+    def test_a_trainer_that_raises_raises_its_exception_in_the_run(self, monkeypatch, two_cpus):
+        caller = os.getpid()
+        train = harness.node_mod.sgd_train
+
+        def fail_in_a_trainer(*args):
+            if os.getpid() != caller:
+                raise ValueError("no room for the stack")
+            return train(*args)
+
+        monkeypatch.setattr(harness.node_mod, "sgd_train", fail_in_a_trainer)
+        with pytest.raises(ValueError, match=r"^no room for the stack$") as raised:
+            run_experiment(small_config(Scheme.SCEI))
+        assert "in fail_in_a_trainer" in str(raised.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_a_killed_trainer_aborts_the_run_by_name(self, monkeypatch, two_cpus):
+        """The trainer is killed after round 1's training; round 2 names its
+        exit code instead of waiting for an answer that never comes."""
+        apply = harness.node_mod.apply_alpha
+
+        def kill_the_trainers(*args):
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+            return apply(*args)
+
+        monkeypatch.setattr(harness.node_mod, "apply_alpha", kill_the_trainers)
+        with pytest.raises(ExperimentAbort, match=r"^round 2: trainer process exited with code -9$"):
+            run_experiment(small_config(Scheme.SCEI))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_a_diverging_run_aborts_alike_on_any_cpu_count(self, spare, monkeypatch):
+        """Learning rate 3.0 on the sample config overflows in round 1 for
+        nodes of both shares; the message is the same with a trainer process
+        and without one."""
+        own = min(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(own, own + spare + 1)))
+        raw = dict(parse_config_file(SAMPLE_CONFIG), learning_rate="3.0", local_epochs="1")
+        with np.errstate(all="ignore"), pytest.raises(ExperimentAbort) as raised:
+            run_experiment(build_config(raw, rounds=2))
+        assert str(raised.value) == "round 1: node(s) 0, 3, 4, 6, 7, 8, 9 trained to non-finite weights"
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("key", ["out", "ledger_out"])

@@ -469,10 +469,12 @@ class TestTamperDetection:
             faulty = [
                 blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :] for at in range(len(blob))
             ]
-        path = tmp_path / "ledger.bin"
-        for dump in faulty:
+        # a file per dump: rewriting one file in place costs tens of
+        # milliseconds on some file systems, creating one a fraction of that
+        for i, dump in enumerate(faulty):
             bad = verify_dump_bytes(dump)
             assert bad == checks.read_dump(dump).first_bad
+            path = tmp_path / f"ledger-{i}.bin"
             path.write_bytes(dump)
             assert verify_dump_file(path) == (bad, len(Ledger.from_bytes(dump)) if bad is None else bad)
 

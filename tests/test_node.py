@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +178,51 @@ class TestLocalRoundStack:
         nodes[4].personalized[-1] = np.nan
         with np.errstate(all="ignore"), pytest.raises(NonFiniteWeights, match=r"node\(s\) 1, 4 trained") as info:
             local_round(nodes, ARCH, CFG, 1)
+        assert info.value.node_ids == (1, 4)
+
+    @pytest.mark.parametrize("spare", [0, 1, 2])
+    def test_trainer_processes_change_no_upload(self, spare, monkeypatch):
+        """With 0, 1 or 2 trainer processes beside the caller, every share of
+        the two train-length groups trains to the bits of a one-node round."""
+        own = min(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(own, own + spare + 1)))
+        together = self.make_nodes()
+        alone = self.make_nodes()
+        with node_mod.Trainers(together, ARCH) as trainers:
+            assert len(trainers) == spare
+            for round_no in (1, 2):
+                uploads = list(local_round(together, ARCH, CFG, round_no, trainers))
+                for node, single, upload in zip(together, alone, uploads):
+                    assert np.array_equal(upload, next(local_round([single], ARCH, CFG, round_no)))
+                    assert np.array_equal(node.local_weights, single.local_weights)
+                    assert node.local_weights.base is None
+                    node.personalized = node.local_weights
+                    single.personalized = single.local_weights
+
+    def test_importing_scei_loads_no_multiprocessing(self):
+        """multiprocessing loads with the first trainers, not with the
+        program: every process that imports scei would start 4 ms later."""
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, scei; print('multiprocessing' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(node_mod.__file__))),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "False\n"
+
+    @pytest.mark.parametrize("spare", [0, 1, 2])
+    def test_non_finite_weights_name_their_nodes_in_any_share(self, spare, monkeypatch):
+        """Nodes 1 and 4 train in a trainer process's share when there is
+        one, and are named as when they train in the caller's."""
+        own = min(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(own, own + spare + 1)))
+        nodes = self.make_nodes()
+        nodes[1].personalized[0] = np.inf
+        nodes[4].personalized[-1] = np.nan
+        with np.errstate(all="ignore"), node_mod.Trainers(nodes, ARCH) as trainers:
+            with pytest.raises(NonFiniteWeights, match=r"^node\(s\) 1, 4 trained") as info:
+                local_round(nodes, ARCH, CFG, 1, trainers)
         assert info.value.node_ids == (1, 4)
 
 
