@@ -201,46 +201,28 @@ def _hash_matches(rec) -> bool:
     return compute_hash(rec.index, rec.round_no, rec.kind, rec.node_id, rec.payload, rec.prev_hash) == rec.hash
 
 
-def _usable_cpus():
-    """The CPUs this process may run on, or () where the platform cannot say."""
+def _hashing_threads() -> int:
+    """Worker threads a pool starts beside the calling thread: one per usable
+    CPU but one, or none where the platform cannot say which CPUs are usable."""
     getaffinity = getattr(os, "sched_getaffinity", None)
-    return () if getaffinity is None else frozenset(getaffinity(0))
+    return 0 if getaffinity is None else len(getaffinity(0)) - 1
 
 
-@contextlib.contextmanager
-def _pinned(cpu):
-    """The calling thread runs the block pinned to cpu where the system lets it
-    (an OSError leaves it as it was), then gets its own CPU set back."""
-    own = None
-    with contextlib.suppress(OSError):
-        own = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-    try:
-        yield
-    finally:
-        if own is not None:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(0, own)
-
-
-def _hash_apart(records, cpus, known=()):
+def _hash_apart(records, threads, known=()):
     """(held, hashed, error): the records walked, in order; position -> whether
     the record there hashes to its stored hash; and the LedgerFormatError that
     ended the walk, or None.
 
     The calling thread walks the records and queues the position of each one
-    that known does not answer as soon as it is walked. One worker thread per
-    CPU of cpus but the first, pinned to its CPU where the system lets it (an
-    OSError leaves it unpinned), takes positions from that queue while the
-    walk goes on; the caller walks pinned to the first CPU, hashes what is
-    still queued once the walk ends (or drops it unhashed when the walk
-    raised), and then gets its own CPU set back. With
-    no cpus nothing is pinned and no worker starts, and nothing is pinned or
-    started before a record needs hashing. A record whose hash raises gets no
-    entry, so the walk of _first_bad_index raises when it reaches it.
+    that known does not answer as soon as it is walked. threads worker
+    threads, started when the first record needs hashing, take positions from
+    that queue while the walk goes on; the caller hashes what is still queued
+    once the walk ends, or drops it unhashed when the walk raised, and the
+    workers stop before this returns or raises. A record whose hash raises
+    gets no entry, so the walk of _first_bad_index raises when it reaches it.
     """
     held, hashed, error = [], dict(known), None
-    todo, workers, started = queue.SimpleQueue(), [], False
+    todo, workers = queue.SimpleQueue(), []
 
     # the queue hands each position to exactly one getter, and a dict store is
     # one step under the interpreter lock, so every position is hashed once
@@ -249,41 +231,30 @@ def _hash_apart(records, cpus, known=()):
             with contextlib.suppress(Exception):  # the walk hashes record i again and raises
                 hashed[i] = _hash_matches(held[i])
 
-    def serve(cpu):
-        with contextlib.suppress(OSError):
-            os.sched_setaffinity(threading.get_native_id(), {cpu})
-        hash_each(todo.get)
-
-    def stop():
+    try:
+        for rec in records:
+            held.append(rec)
+            if len(held) - 1 in hashed:
+                continue
+            if not workers:
+                for _ in range(threads):
+                    thread = threading.Thread(target=hash_each, args=(todo.get,))
+                    thread.start()
+                    workers.append(thread)
+            todo.put(len(held) - 1)
+        with contextlib.suppress(queue.Empty):
+            hash_each(todo.get_nowait)
+    except LedgerFormatError as exc:
+        error = exc
+    finally:
+        # a walk that raised keeps no result: what it queued goes unhashed
+        with contextlib.suppress(queue.Empty):
+            for _ in iter(todo.get_nowait, None):
+                pass
         for _ in workers:
             todo.put(None)
         for thread in workers:
             thread.join()
-
-    with contextlib.ExitStack() as pool:
-        try:
-            for rec in records:
-                held.append(rec)
-                if len(held) - 1 in hashed:
-                    continue
-                if not started:
-                    started = True
-                    pool.callback(stop)
-                    for cpu in sorted(cpus)[1:]:
-                        thread = threading.Thread(target=serve, args=(cpu,))
-                        thread.start()
-                        workers.append(thread)
-                    if cpus:  # after the workers start, which would inherit the pin
-                        pool.enter_context(_pinned(min(cpus)))
-                todo.put(len(held) - 1)
-        except LedgerFormatError as exc:
-            error = exc
-        with contextlib.suppress(queue.Empty):
-            if error is None:
-                hash_each(todo.get_nowait)
-            else:  # a refused walk keeps no result: drop what is still queued
-                for _ in iter(todo.get_nowait, None):
-                    pass
     return held, hashed, error
 
 
@@ -318,11 +289,12 @@ def _first_bad_index(records, hashed=None):
 
 def _check_held(records, known=()) -> int | None:
     """First bad index of a chain held in memory, as _first_bad_index gives it:
-    the records are walked and hashed across the usable CPUs as _hash_apart
-    describes, except where known already says whether a position hashes
-    right, and then the walk checks them in order. A walker that raised
-    LedgerFormatError marks the index after the last record it gave."""
-    held, hashed, error = _hash_apart(records, _usable_cpus(), known)
+    the records are walked and hashed by the caller and _hashing_threads()
+    workers as _hash_apart describes, except where known already says whether
+    a position hashes right, and then the walk checks them in order. A walker
+    that raised LedgerFormatError marks the index after the last record it
+    gave."""
+    held, hashed, error = _hash_apart(records, _hashing_threads(), known)
     bad, count = _first_bad_index(held, hashed)
     return count if bad is None and error else bad
 
@@ -361,10 +333,10 @@ class Ledger:
         at reuses its load's hash check: records are frozen and a loaded
         payload views a read-only copy of its dump, so it hashes as it did.
         Every other record (appended, inserted, moved or replaced since, or
-        any record of a ledger built by appending) is hashed across the usable
-        CPUs as _hash_apart describes. Index, place and link are checked anew
-        for every record, in order, so the index is the one a record-by-record
-        check gives.
+        any record of a ledger built by appending) is hashed by the caller and
+        one worker thread per usable CPU but one, as _hash_apart describes.
+        Index, place and link are checked anew for every record, in order, so
+        the index is the one a record-by-record check gives.
         """
         records = self.records
         known = {i: ok for i, (rec, ok) in self._load_checks.items() if i < len(records) and records[i] is rec}
@@ -375,10 +347,14 @@ class Ledger:
 
     def put(self, round_no: int, kind: RecordKind, node_id, value) -> LedgerRecord:
         """Append value, encoded in the payload layout of its kind."""
+        if kind is RecordKind.GENESIS:
+            raise ValueError("genesis records exist only at index 0")
         return self.append(round_no, kind, node_id, _PAYLOADS[kind][0](value))
 
     def read(self, round_no: int, kind: RecordKind) -> list:
         """(node id, decoded value) of each record of that round and kind, in ledger order."""
+        if kind is RecordKind.GENESIS:
+            raise ValueError("the genesis record has no put/read payload layout yet")
         return [(rec.node_id, _PAYLOADS[kind][1](rec.payload)) for rec in self.query_round(round_no, kind)]
 
     def _frame_parts(self):
@@ -407,7 +383,7 @@ class Ledger:
 
     @classmethod
     def _load(cls, records) -> "Ledger":
-        held, hashed, error = _hash_apart(records, _usable_cpus())
+        held, hashed, error = _hash_apart(records, _hashing_threads())
         if error is not None:
             raise error
         if not held:
@@ -424,10 +400,10 @@ class Ledger:
 
     @classmethod
     def read_dump(cls, path) -> "Ledger":
-        """Load a dump file as from_bytes loads a buffer, hashing each record
-        on the workers as soon as the chunk holding the end of its frame has
-        been read: the file is read once, and the records view that one
-        read-only copy of it."""
+        """Load a dump file as from_bytes loads a buffer, queueing each record
+        for the hashing threads as soon as the chunk holding the end of its
+        frame has been read: the file is read once, and the records view that
+        one read-only copy of it. The calling thread's CPU set is left alone."""
         with open(path, "rb", buffering=0) as f:
             return cls._load(_read_records(f))
 
@@ -438,9 +414,9 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     A frame that cannot be parsed marks its own index bad, unless an earlier
     record already failed; the records only live for this check, so their
     payloads stay views into blob. Since the whole dump is in memory, every
-    record is hashed across the usable CPUs as it is walked, and then the
-    records are checked in order; the index is the one a record-by-record
-    check gives.
+    record is hashed by the caller and one worker thread per usable CPU but
+    one as it is walked, and then the records are checked in order; the index
+    is the one a record-by-record check gives.
     """
     return _check_held(_walk(memoryview(blob)))
 

@@ -194,8 +194,10 @@ class Trainers:
 
     def release(self) -> None:
         """Drop this process's mapping of the region's pages. The rows stay in
-        the shared memory, for the trainers and for a later read here."""
-        self._region.madvise(mmap.MADV_DONTNEED)
+        the shared memory, for the trainers and for a later read here. With
+        no trainers there is no region, and this does nothing."""
+        if self._region is not None:
+            self._region.madvise(mmap.MADV_DONTNEED)
 
     def close(self) -> None:
         """Close every pipe, so each idle trainer returns, and reap them all;

@@ -332,7 +332,7 @@ class TestTamperDetection:
         book = Ledger()
         for i in range(1, 14):
             book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda: 1)
 
         def stream(recs, fail_at=None):
             for i, rec in enumerate(recs):
@@ -345,8 +345,8 @@ class TestTamperDetection:
             forged = book.records[:]
             rec = forged[k]
             forged[k] = LedgerRecord(rec.index, rec.round_no, rec.kind, None, b"\0" + rec.payload[1:], rec.prev_hash, rec.hash)
-            assert ledger_mod._hash_apart(forged, {0, 1}) == (forged, {i: i != k for i in range(14)}, None)
-            held, hashed, error = ledger_mod._hash_apart(stream(forged, fail_at=k + 1), {0, 1})
+            assert ledger_mod._hash_apart(forged, 1) == (forged, {i: i != k for i in range(14)}, None)
+            held, hashed, error = ledger_mod._hash_apart(stream(forged, fail_at=k + 1), 1)
             assert held == forged[: k + 1] and hashed.items() <= {i: i != k for i in range(k + 1)}.items()
             assert isinstance(error, LedgerFormatError) == (k + 1 < len(forged))
             if error is None:
@@ -365,7 +365,7 @@ class TestTamperDetection:
         hashed = []
         real = ledger_mod._hash_matches
         monkeypatch.setattr(ledger_mod, "_hash_matches", lambda rec: hashed.append(rec.index) or real(rec))
-        monkeypatch.setattr(ledger_mod, "_usable_cpus", lambda: frozenset({min(os.sched_getaffinity(0))}))
+        monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda: 0)
         with pytest.raises(LedgerFormatError, match="truncated record frame"):
             Ledger.from_bytes(cut)
         assert hashed == []
@@ -385,19 +385,19 @@ class TestTamperDetection:
         mislinked = LedgerRecord(1, 1, first.kind, None, first.payload, b"\1" * 32, first.hash)
         after = LedgerRecord(2, -1, second.kind, None, second.payload, second.prev_hash, second.hash)
         both = LedgerRecord(1, -1, first.kind, None, first.payload, b"\1" * 32, first.hash)
-        for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            assert ledger_mod._hash_apart([genesis, unpackable], cpus)[1] == {0: True}
+        for threads in (0, 1):
+            monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda threads=threads: threads)
+            assert ledger_mod._hash_apart([genesis, unpackable], threads)[1] == {0: True}
             with pytest.raises(struct.error):
                 ledger_mod._check_held([genesis, unpackable])
             assert ledger_mod._check_held([genesis, mislinked, after]) == 1
             assert ledger_mod._check_held([genesis, both, after]) == 1
 
     def test_every_large_record_is_hashed_once_under_contention(self, monkeypatch):
-        """Eight CPUs, seven of them absent from this machine so their workers
-        run unpinned beside the walking caller, with the interpreter lock
-        passed as often as it can be: every record is walked once and gets
-        exactly one hash and one entry."""
+        """Seven worker threads beside the walking caller, more than this
+        machine has CPUs, with the interpreter lock passed as often as it can
+        be: every record is walked once and gets exactly one hash and one
+        entry."""
         records = build_ledger(60, payload_size=64).records
         hashed_ids = []
         real = ledger_mod._hash_matches
@@ -405,7 +405,7 @@ class TestTamperDetection:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            held, found, error = ledger_mod._hash_apart(records, set(range(os.cpu_count(), os.cpu_count() + 7)) | {0})
+            held, found, error = ledger_mod._hash_apart(records, 7)
         finally:
             sys.setswitchinterval(interval)
         assert held == records and error is None
@@ -518,20 +518,18 @@ class TestTamperDetection:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real = ledger_mod._hash_apart
 
-        def nothing_hashed(records, cpus, known=()):
-            held, _, error = real(records, cpus, known)
+        def nothing_hashed(records, threads, known=()):
+            held, _, error = real(records, threads, known)
             return held, {}, error
 
         monkeypatch.setattr(ledger_mod, "_hash_apart", nothing_hashed)
         self.test_every_single_fault_agrees_with_the_independent_reader(fault, tmp_path)
 
-    def test_any_affinity_set_gives_the_same_index(self, monkeypatch):
-        """Pools of 1, 2 and 4 CPUs, some of which this machine lacks so their
-        workers run unpinned, report what the in-place check reports, with the
-        interpreter lock passed between the workers and the walk as often as
-        it can be."""
-        own, lacking = min(os.sched_getaffinity(0)), os.cpu_count()
-        affinities = ({own}, {own, lacking}, {own, lacking, lacking + 1, lacking + 2})
+    def test_any_thread_count_gives_the_same_index(self, monkeypatch, tmp_path):
+        """Pools of 0, 1 and 3 hashing threads report what the in-place check
+        reports, through verify_dump_bytes and through verify_chain after
+        either loader, with the interpreter lock passed between the workers
+        and the walk as often as it can be."""
         blob = build_ledger(8, payload_size=40).to_bytes()
         offsets = _framed(blob)
         faulty = [blob, blob[:-5]] + [
@@ -540,14 +538,19 @@ class TestTamperDetection:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for dump in faulty:
+            for i, dump in enumerate(faulty):
                 expected = _first_bad_index(ledger_mod._walk(memoryview(dump)))[0]
-                loaded = _load(lambda: Ledger.from_bytes(dump))
-                for cpus in affinities:
-                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                path = tmp_path / f"ledger-{i}.bin"
+                path.write_bytes(dump)
+                for threads in (0, 1, 3):
+                    monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda threads=threads: threads)
                     assert verify_dump_bytes(dump) == expected
-                    if loaded is not None:
-                        assert loaded.verify_chain() == expected
+                    from_buffer = _load(lambda: Ledger.from_bytes(dump))
+                    from_file = _load(lambda: Ledger.read_dump(path))
+                    assert (from_buffer is None) == (from_file is None)
+                    for loaded in (from_buffer, from_file):
+                        if loaded is not None:
+                            assert loaded.verify_chain() == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -644,41 +647,42 @@ class TestLoadChecks:
 
     def test_a_load_leaves_the_caller_as_it_found_it(self, tmp_path, monkeypatch):
         """After a clean load, a malformed dump and an OSError raised mid-read,
-        the calling thread has its own CPU set back and no worker is left;
-        mid-read, it walked pinned to its first CPU beside one worker per
-        other usable CPU."""
-        real = os.sched_getaffinity
-        own, threads = real(0), threading.active_count()
-        lacking = os.cpu_count()  # a CPU this machine lacks: at least one worker starts
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: real(pid) | {lacking})
+        no worker is left. At every read of the file the calling thread runs
+        on its own CPU set, and from the second read on, once the first
+        record is in, the three hashing threads run beside it."""
+        own, threads = os.sched_getaffinity(0), threading.active_count()
+        monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda: 3)
         blob = build_ledger(20, payload_size=100_000).to_bytes()
         path = tmp_path / "ledger.bin"
+        during, fail_at = [], None
 
-        def as_found():
-            assert real(0) == own and threading.active_count() == threads
-
-        for dump in (blob, blob[:-5]):
-            path.write_bytes(dump)
-            for load in (lambda: Ledger.read_dump(path), lambda: Ledger.from_bytes(dump)):
-                assert len(_load(load) or ()) == (21 if dump is blob else 0)
-                as_found()
-
-        during = []
-
-        class FailingRead(io.FileIO):
+        class WatchedRead(io.FileIO):
             def readinto(self, b):
-                during.append((real(0), threading.active_count()))
-                if len(during) == 3:
+                during.append((os.sched_getaffinity(0), threading.active_count()))
+                if len(during) == fail_at:
                     raise OSError(errno.EIO, "read failed")
                 return super().readinto(b)
 
+        monkeypatch.setattr(ledger_mod, "open", lambda file, mode, buffering: WatchedRead(file), raising=False)
+
+        def as_found(reads):
+            assert os.sched_getaffinity(0) == own and threading.active_count() == threads
+            assert reads(len(during))
+            assert during == [(own, threads + (3 if k else 0)) for k in range(len(during))]
+            during.clear()
+
+        for dump in (blob, blob[:-5]):
+            path.write_bytes(dump)
+            assert len(_load(lambda: Ledger.read_dump(path)) or ()) == (21 if dump is blob else 0)
+            as_found(lambda count: count > 2)
+            assert len(_load(lambda: Ledger.from_bytes(dump)) or ()) == (21 if dump is blob else 0)
+            as_found(lambda count: count == 0)
+
         path.write_bytes(blob)
-        monkeypatch.setattr(ledger_mod, "open", lambda file, mode, buffering: FailingRead(file), raising=False)
+        fail_at = 3
         with pytest.raises(OSError, match="read failed"):
             Ledger.read_dump(path)
-        as_found()
-        assert during[0] == (own, threads)
-        assert during[2] == ({min(own)}, threads + len(own))
+        as_found(lambda count: count == 3)
 
 
 def _framed(blob):
@@ -882,6 +886,17 @@ PUT_VALUES = {
 class TestPutAndRead:
     def test_every_kind_but_genesis_has_a_layout(self):
         assert set(PUT_VALUES) == set(RecordKind) - {RecordKind.GENESIS}
+
+    def test_genesis_cannot_be_put(self):
+        """put refuses the genesis kind as append does, before encoding the value."""
+        book = Ledger()
+        with pytest.raises(ValueError, match="^genesis records exist only at index 0$"):
+            book.put(1, RecordKind.GENESIS, None, object())
+        assert len(book) == 1
+
+    def test_genesis_cannot_be_read(self):
+        with pytest.raises(ValueError, match="^the genesis record has no put/read payload layout yet$"):
+            Ledger().read(0, RecordKind.GENESIS)
 
     @pytest.mark.parametrize("kind", list(PUT_VALUES), ids=lambda kind: kind.name)
     def test_put_then_read_round_trips_bit_for_bit(self, kind):

@@ -199,6 +199,21 @@ class TestLocalRoundStack:
                     node.personalized = node.local_weights
                     single.personalized = single.local_weights
 
+    @pytest.mark.parametrize("how", ["one cpu", "closed"])
+    def test_trainers_without_processes_train_only_the_caller(self, how, monkeypatch):
+        """With no trainer process, on one usable CPU or after close(),
+        train runs train_own here and returns no stack, and release does
+        nothing."""
+        own = min(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {own} if how == "one cpu" else {own, own + 1})
+        trainers = node_mod.Trainers(self.make_nodes(), ARCH)
+        trainers.close()
+        ran = []
+        assert len(trainers) == 0
+        assert trainers.train(CFG, [], lambda: ran.append(True)) == []
+        trainers.release()
+        assert ran == [True]
+
     def test_importing_scei_loads_no_multiprocessing(self):
         """multiprocessing loads with the first trainers, not with the
         program: every process that imports scei would start 4 ms later."""
