@@ -2,13 +2,16 @@
 
 Every record's hash covers its fields plus the previous hash, so editing any
 byte of a serialized ledger is detectable, and the first bad index localizes
-the damage.
+the damage. A forger who re-hashes every record from the edit on leaves a
+chain that verifies; only its new head hash gives it away.
 """
+
+import hashlib
 
 import numpy as np
 
 from scei import Ledger, RecordKind, verify_dump_bytes
-from scei.ledger import encode_node_set, encode_params
+from scei.ledger import HASH_LEN, encode_node_set, encode_params
 
 rng = np.random.default_rng(0)
 book = Ledger()
@@ -25,28 +28,40 @@ blob = book.to_bytes()
 print(f"\nserialized dump: {len(blob)} bytes")
 print(f"verify_dump_bytes on the clean dump: {verify_dump_bytes(blob)}")
 
+# split the dump into its frames: u32 length, then the record bytes
+frames, offset = [], 0
+while offset < len(blob):
+    end = offset + 4 + int.from_bytes(blob[offset : offset + 4], "little")
+    frames.append(bytearray(blob[offset:end]))
+    offset = end
+payload_at = 4 + 34  # past the frame length and the record header
+
 # flip one payload byte inside record 7
-offset = 0
-for _ in range(7):
-    frame_len = int.from_bytes(blob[offset : offset + 4], "little")
-    offset += 4 + frame_len
-tampered = bytearray(blob)
-tampered[offset + 4 + 40] ^= 0x01
-print(f"after flipping one bit in record 7: first bad index = {verify_dump_bytes(bytes(tampered))}")
+tampered = [bytearray(frame) for frame in frames]
+tampered[7][payload_at + 2] ^= 0x01
+print(f"after flipping one bit in record 7: first bad index = {verify_dump_bytes(b''.join(tampered))}")
 
-# a cleverer forgery: rewrite record 7 and recompute its own hash
-from scei.ledger import LedgerRecord, compute_hash
+# a cleverer forgery: rewrite record 7's payload in the dump and recompute
+# its own hash. The ledger itself is append-only, so a forger edits bytes.
 
-victim = book.records[7]
+
+def rehash(frame, prev_hash):
+    """Link frame to prev_hash and give it the hash of its new bytes."""
+    frame[-2 * HASH_LEN : -HASH_LEN] = prev_hash
+    frame[-HASH_LEN:] = hashlib.sha256(frame[4:-HASH_LEN]).digest()
+
+
 forged_payload = encode_params(np.zeros(16))
-forged = LedgerRecord(
-    victim.index,
-    victim.round_no,
-    victim.kind,
-    victim.node_id,
-    forged_payload,
-    victim.prev_hash,
-    compute_hash(victim.index, victim.round_no, victim.kind, victim.node_id, forged_payload, victim.prev_hash),
-)
-book.records[7] = forged
-print(f"self-consistent forgery of record 7: first bad index = {book.verify_chain()} (the broken link)")
+frames[7][payload_at : payload_at + len(forged_payload)] = forged_payload
+rehash(frames[7], frames[6][-HASH_LEN:])
+forged = b"".join(frames)
+print(f"self-consistent forgery of record 7: first bad index = {verify_dump_bytes(forged)} (the broken link)")
+
+# re-hashing every later record as well leaves no broken link: the chain
+# verifies, and only a head hash kept elsewhere shows the change
+for prev, frame in zip(frames[7:], frames[8:]):
+    rehash(frame, prev[-HASH_LEN:])
+forged = b"".join(frames)
+head = Ledger.from_bytes(forged).head_hash
+print(f"the whole chain re-hashed: first bad index = {verify_dump_bytes(forged)}, "
+      f"head {head.hex()[:16]}... instead of {book.head_hash.hex()[:16]}...")

@@ -271,14 +271,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         nodes = _build_nodes(cfg, _build_splits(cfg), book)
         state = ContractState.fresh([n.node_id for n in nodes])
 
-        # forked here, so each trainer holds the node datasets and the BLAS pin
-        trainers = node_mod.Trainers(nodes, cfg.arch)
         try:
-            metrics, state = _run_rounds(nodes, book, state, cfg, trainers)
+            # forked here, so each trainer holds the node datasets and the BLAS pin
+            with node_mod.Trainers(nodes, cfg.arch) as trainers:
+                metrics, state = _run_rounds(nodes, book, state, cfg, trainers)
         finally:
-            trainers.close()
-            # the records so far, also when the rounds end in an exception:
-            # the ones up to it are the ones that explain it
+            # the records so far, also when the rounds or the fork end in an
+            # exception: the ones up to it are the ones that explain it
             if cfg.ledger_path:
                 book.write_dump(cfg.ledger_path)
 

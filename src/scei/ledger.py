@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import hashlib
+import numbers
 import os
 import queue
 import struct
@@ -208,39 +209,34 @@ def _hashing_threads() -> int:
     return 0 if getaffinity is None else len(getaffinity(0)) - 1
 
 
-def _hash_apart(records, threads, known=()):
+def _hash_apart(records, threads):
     """(held, hashed, error): the records walked, in order; position -> whether
     the record there hashes to its stored hash; and the LedgerFormatError that
     ended the walk, or None.
 
-    The calling thread walks the records and queues the position of each one
-    that known does not answer as soon as it is walked. threads worker
-    threads, started when the first record needs hashing, take positions from
-    that queue while the walk goes on; the caller hashes what is still queued
-    once the walk ends, or drops it unhashed when the walk raised, and the
-    workers stop before this returns or raises. A record whose hash raises
-    gets no entry, so the walk of _first_bad_index raises when it reaches it.
+    threads worker threads start with the walk. The calling thread walks the
+    records and queues the position of each one as soon as it is walked, and
+    the workers take positions from that queue while the walk goes on; the
+    caller hashes what is still queued once the walk ends, or drops it
+    unhashed when the walk raised, and the workers stop before this returns
+    or raises. So every position has an entry unless the walk raised.
     """
-    held, hashed, error = [], dict(known), None
+    held, hashed, error = [], {}, None
     todo, workers = queue.SimpleQueue(), []
 
     # the queue hands each position to exactly one getter, and a dict store is
     # one step under the interpreter lock, so every position is hashed once
     def hash_each(get):
         for i in iter(get, None):
-            with contextlib.suppress(Exception):  # the walk hashes record i again and raises
-                hashed[i] = _hash_matches(held[i])
+            hashed[i] = _hash_matches(held[i])
 
     try:
+        for _ in range(threads):
+            thread = threading.Thread(target=hash_each, args=(todo.get,))
+            thread.start()
+            workers.append(thread)
         for rec in records:
             held.append(rec)
-            if len(held) - 1 in hashed:
-                continue
-            if not workers:
-                for _ in range(threads):
-                    thread = threading.Thread(target=hash_each, args=(todo.get,))
-                    thread.start()
-                    workers.append(thread)
             todo.put(len(held) - 1)
         with contextlib.suppress(queue.Empty):
             hash_each(todo.get_nowait)
@@ -287,63 +283,63 @@ def _first_bad_index(records, hashed=None):
     return (None if count else 0), count
 
 
-def _check_held(records, known=()) -> int | None:
-    """First bad index of a chain held in memory, as _first_bad_index gives it:
-    the records are walked and hashed by the caller and _hashing_threads()
-    workers as _hash_apart describes, except where known already says whether
-    a position hashes right, and then the walk checks them in order. A walker
-    that raised LedgerFormatError marks the index after the last record it
-    gave."""
-    held, hashed, error = _hash_apart(records, _hashing_threads(), known)
-    bad, count = _first_bad_index(held, hashed)
-    return count if bad is None and error else bad
+def _check_id(name, value) -> None:
+    if not (isinstance(value, numbers.Integral) and 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
 class Ledger:
-    """Sequence of hash-chained records with a single deterministic append point."""
+    """Sequence of hash-chained records with a single deterministic append
+    point: records enter only through append and the two loaders."""
 
     def __init__(self):
         genesis_hash = compute_hash(0, 0, RecordKind.GENESIS, None, b"", GENESIS_PREV_HASH)
-        self.records = [
+        self._records = [
             LedgerRecord(0, 0, RecordKind.GENESIS, None, b"", GENESIS_PREV_HASH, genesis_hash)
         ]
-        self._load_checks = {}  # position -> (record as loaded, whether it hashed right)
+        self._first_bad = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records)
+
+    @property
+    def records(self) -> tuple:
+        return tuple(self._records)
 
     @property
     def head_hash(self) -> bytes:
-        return self.records[-1].hash
+        return self._records[-1].hash
 
     def append(self, round_no: int, kind: RecordKind, node_id, payload: bytes) -> LedgerRecord:
+        """Chain a record after the head. Every argument is checked before
+        anything is appended, and the payload is hashed as the bytes kept."""
+        _check_id("round_no", round_no)
+        if node_id is not None:
+            _check_id("node_id", node_id)
+        if not isinstance(kind, RecordKind):
+            raise TypeError(f"kind must be a RecordKind, got {type(kind).__name__}")
         if kind is RecordKind.GENESIS:
             raise ValueError("genesis records exist only at index 0")
-        index = len(self.records)
-        prev_hash = self.records[-1].hash
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            raise TypeError(f"payload must be bytes, bytearray or memoryview, got {type(payload).__name__}")
+        payload = bytes(payload)
+        index = len(self._records)
+        prev_hash = self._records[-1].hash
         digest = compute_hash(index, round_no, kind, node_id, payload, prev_hash)
-        record = LedgerRecord(index, round_no, kind, node_id, bytes(payload), prev_hash, digest)
-        self.records.append(record)
+        record = LedgerRecord(index, round_no, kind, node_id, payload, prev_hash, digest)
+        self._records.append(record)
         return record
 
     def verify_chain(self) -> int | None:
         """None when the chain is intact, else the first bad record index.
 
-        A record that is still the same object at the position it was loaded
-        at reuses its load's hash check: records are frozen and a loaded
-        payload views a read-only copy of its dump, so it hashes as it did.
-        Every other record (appended, inserted, moved or replaced since, or
-        any record of a ledger built by appending) is hashed by the caller and
-        one worker thread per usable CPU but one, as _hash_apart describes.
-        Index, place and link are checked anew for every record, in order, so
-        the index is the one a record-by-record check gives.
+        Nothing is walked or hashed: a ledger built by appending is intact, and
+        a loaded one reports what its load found, which appends cannot change.
         """
-        records = self.records
-        known = {i: ok for i, (rec, ok) in self._load_checks.items() if i < len(records) and records[i] is rec}
-        return _check_held(records, known)
+        return self._first_bad
 
     def query_round(self, round_no: int, kind: RecordKind) -> list:
-        return [r for r in self.records if r.round_no == round_no and r.kind is kind]
+        return [r for r in self._records if r.round_no == round_no and r.kind is kind]
 
     def put(self, round_no: int, kind: RecordKind, node_id, value) -> LedgerRecord:
         """Append value, encoded in the payload layout of its kind."""
@@ -359,7 +355,7 @@ class Ledger:
 
     def _frame_parts(self):
         """Every dump frame as its pieces: u32 length, header, payload, prev hash, hash."""
-        for rec in self.records:
+        for rec in self._records:
             paylen = len(rec.payload)
             yield struct.pack("<I", _FIXED_OVERHEAD + paylen)
             yield _pack_header(rec.index, rec.round_no, rec.kind, rec.node_id, paylen)
@@ -376,9 +372,9 @@ class Ledger:
         when it is bytes): every payload is a view into that copy, every hash
         is bytes, and later writes to blob do not reach the records.
 
-        Every record is hashed as the dump is walked, and verify_chain reuses
-        those checks, but a bad hash or link is not refused here: only a
-        malformed or empty dump raises LedgerFormatError."""
+        Every record is hashed as the dump is walked, and verify_chain reports
+        the first bad index that walk found, but a bad hash or link is not
+        refused here: only a malformed or empty dump raises LedgerFormatError."""
         return cls._load(_walk(memoryview(bytes(blob))))
 
     @classmethod
@@ -389,8 +385,8 @@ class Ledger:
         if not held:
             raise LedgerFormatError("empty dump")
         ledger = cls.__new__(cls)
-        ledger.records = held
-        ledger._load_checks = {i: (held[i], ok) for i, ok in hashed.items()}
+        ledger._records = held
+        ledger._first_bad = _first_bad_index(held, hashed)[0]
         return ledger
 
     def write_dump(self, path) -> None:
@@ -403,7 +399,7 @@ class Ledger:
         """Load a dump file as from_bytes loads a buffer, queueing each record
         for the hashing threads as soon as the chunk holding the end of its
         frame has been read: the file is read once, and the records view that
-        one read-only copy of it. The calling thread's CPU set is left alone."""
+        one read-only copy of it. verify_chain reports what the load found."""
         with open(path, "rb", buffering=0) as f:
             return cls._load(_read_records(f))
 
@@ -415,10 +411,12 @@ def verify_dump_bytes(blob: bytes) -> int | None:
     record already failed; the records only live for this check, so their
     payloads stay views into blob. Since the whole dump is in memory, every
     record is hashed by the caller and one worker thread per usable CPU but
-    one as it is walked, and then the records are checked in order; the index
-    is the one a record-by-record check gives.
+    one as it is walked, as a load hashes it, and then the records are
+    checked in order; the index is the one a record-by-record check gives.
     """
-    return _check_held(_walk(memoryview(blob)))
+    held, hashed, error = _hash_apart(_walk(memoryview(blob)), _hashing_threads())
+    bad, count = _first_bad_index(held, hashed)
+    return count if bad is None and error else bad
 
 
 def verify_dump_file(path):

@@ -1,3 +1,4 @@
+import errno
 import math
 import multiprocessing
 import os
@@ -869,6 +870,22 @@ def test_a_run_ending_in_any_exception_leaves_its_dump(error, monkeypatch, tmp_p
         (RecordKind.SUSPICION_SET, None),
         (RecordKind.GLOBAL_WEIGHTS, None),
     ]
+
+
+def test_a_run_whose_trainers_fail_to_fork_leaves_its_dump(monkeypatch, tmp_path):
+    """A fork that fails, as it does when the process limit is reached,
+    raises out of the run after genesis and round 0's global weights are
+    recorded, and those two records are still written."""
+
+    def no_fork(nodes, arch):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(harness.node_mod, "Trainers", no_fork)
+    dump = tmp_path / "ledger.bin"
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        run_experiment(small_config(Scheme.SCEI, ledger_path=str(dump)))
+    assert verify_dump_file(dump) == (None, 2)
+    assert [rec.kind for rec in Ledger.read_dump(dump).records] == [RecordKind.GENESIS, RecordKind.GLOBAL_WEIGHTS]
 
 
 def _small_run_head():

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import importlib.util
 import io
+import operator
 import os
 import pathlib
 import struct
@@ -118,41 +119,81 @@ class TestAppend:
         with pytest.raises(ValueError):
             Ledger().append(1, RecordKind.GENESIS, None, b"")
 
+    @pytest.mark.parametrize("round_no", [-1, 2**64, 1.5, None])
+    def test_a_round_outside_u64_is_refused_by_name(self, round_no):
+        book = Ledger()
+        with pytest.raises(ValueError, match=r"^round_no must be an integer in \[0, 2\*\*64\), got "):
+            book.append(round_no, RecordKind.LOCAL_WEIGHTS, 0, b"x")
+        assert len(book) == 1
+
+    @pytest.mark.parametrize("node_id", [-1, 2**64, "3"])
+    def test_a_node_id_outside_u64_is_refused_by_name(self, node_id):
+        book = Ledger()
+        with pytest.raises(ValueError, match=r"^node_id must be an integer in \[0, 2\*\*64\), got "):
+            book.append(1, RecordKind.LOCAL_WEIGHTS, node_id, b"x")
+        assert len(book) == 1
+        book.append(2**64 - 1, RecordKind.LOCAL_WEIGHTS, 2**64 - 1, b"x")
+        book.append(0, RecordKind.LOCAL_WEIGHTS, np.uint64(0), b"x")
+        assert book.verify_chain() is None and verify_dump_bytes(book.to_bytes()) is None
+
+    @pytest.mark.parametrize("kind", [2, "GLOBAL_WEIGHTS", None])
+    def test_a_kind_that_is_not_a_record_kind_is_refused_by_name(self, kind):
+        book = Ledger()
+        with pytest.raises(TypeError, match=f"^kind must be a RecordKind, got {type(kind).__name__}$"):
+            book.append(1, kind, None, b"x")
+        assert len(book) == 1
+
+    @pytest.mark.parametrize("payload", [None, 5, "text", np.zeros(2)])
+    def test_a_payload_that_is_not_a_byte_buffer_is_refused_by_name(self, payload):
+        book = Ledger()
+        with pytest.raises(TypeError, match=f"^payload must be bytes, bytearray or memoryview, got {type(payload).__name__}$"):
+            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, payload)
+        assert len(book) == 1
+
+    def test_a_bytes_like_payload_is_kept_and_hashed_as_bytes(self):
+        """The bytes a record keeps are the bytes its hash covers, whatever
+        buffer the payload came in, and later writes to that buffer reach
+        neither."""
+        book = Ledger()
+        for payload in (bytearray(b"abc"), memoryview(b"xabc")[1:], memoryview(np.array([1.5, -2.0]))):
+            rec = book.append(1, RecordKind.GLOBAL_WEIGHTS, None, payload)
+            kept = payload.tobytes() if isinstance(payload, memoryview) else bytes(payload)
+            assert type(rec.payload) is bytes and rec.payload == kept
+            assert rec.hash == oracle_digest(rec.index, 1, RecordKind.GLOBAL_WEIGHTS.value, None, kept, rec.prev_hash)
+            if isinstance(payload, bytearray):
+                payload[0] ^= 1
+        assert book.verify_chain() is None and verify_dump_bytes(book.to_bytes()) is None
+
+    def test_records_is_a_tuple_that_cannot_be_edited(self):
+        book = build_ledger(4)
+        rec = book.records[2]
+        assert type(book.records) is tuple and book.records == tuple(book.records)
+        for edit in (
+            lambda records: operator.setitem(records, 2, rec),
+            lambda records: operator.setitem(records, slice(1, 1), [rec]),
+            lambda records: operator.delitem(records, 2),
+        ):
+            with pytest.raises(TypeError):
+                edit(book.records)
+        with pytest.raises(AttributeError):
+            book.records = []
+        assert len(book) == 5 and book.verify_chain() is None
+
 
 class TestVerifyChain:
     def test_untampered_ledger_verifies(self):
         book = build_ledger(50)
         assert book.verify_chain() is None
 
-    def test_payload_flip_detected_at_record(self):
-        book = build_ledger(20)
-        victim = book.records[7]
-        tampered = bytearray(victim.payload)
-        tampered[0] ^= 0xFF
-        book.records[7] = LedgerRecord(
-            victim.index,
-            victim.round_no,
-            victim.kind,
-            victim.node_id,
-            bytes(tampered),
-            victim.prev_hash,
-            victim.hash,
-        )
-        assert book.verify_chain() == 7
+    def test_payload_flip_detected_at_record(self, tmp_path):
+        frames = _frames(build_ledger(20).to_bytes())
+        frames[7] = _edited_frame(frames[7])
+        assert _four_checks(b"".join(frames), tmp_path) == [7] * 4
 
-    def test_rehashed_forgery_detected_at_next_link(self):
-        book = build_ledger(20)
-        victim = book.records[7]
-        forged_payload = b"forged!!"
-        forged_hash = compute_hash(
-            victim.index, victim.round_no, victim.kind, victim.node_id,
-            forged_payload, victim.prev_hash,
-        )
-        book.records[7] = LedgerRecord(
-            victim.index, victim.round_no, victim.kind, victim.node_id,
-            forged_payload, victim.prev_hash, forged_hash,
-        )
-        assert book.verify_chain() == 8
+    def test_rehashed_forgery_detected_at_next_link(self, tmp_path):
+        frames = _frames(build_ledger(20).to_bytes())
+        frames[7] = _edited_frame(frames[7], rehash=True)
+        assert _four_checks(b"".join(frames), tmp_path) == [8] * 4
 
 
 class TestQueryRound:
@@ -306,7 +347,7 @@ class TestTamperDetection:
         is pulled, and a walker that raises marks its own index. Here every
         record is hashed in place; the pooled path has its own test below."""
         records = build_ledger(8).records
-        forged = records[:]
+        forged = list(records)
         forged[4] = LedgerRecord(4, 1, RecordKind.GLOBAL_WEIGHTS, None, b"x", records[3].hash, records[4].hash)
         pulled = []
 
@@ -326,9 +367,9 @@ class TestTamperDetection:
     def test_the_pooled_check_reports_the_first_fault(self, monkeypatch):
         """Every record is hashed on the pool as it is walked: with a hash
         fault at k the pool finds k and the records past it, the check reports
-        k, and a malformed frame right after k does not hide it. A walk that
-        raises keeps whatever results the worker had already found, each one
-        right, and the check hashes the rest in place."""
+        k, and a frame cut right after k does not hide it. A walk that raises
+        keeps whatever results the worker had already found, each one right,
+        and the check hashes the rest in place."""
         book = Ledger()
         for i in range(1, 14):
             book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * 64)
@@ -340,9 +381,10 @@ class TestTamperDetection:
                     raise LedgerFormatError("malformed")
                 yield rec
 
-        assert ledger_mod._check_held(stream(book.records)) is None
+        frames = _frames(book.to_bytes())
+        assert verify_dump_bytes(b"".join(frames)) is None
         for k in (1, 4, 7, 13):
-            forged = book.records[:]
+            forged = list(book.records)
             rec = forged[k]
             forged[k] = LedgerRecord(rec.index, rec.round_no, rec.kind, None, b"\0" + rec.payload[1:], rec.prev_hash, rec.hash)
             assert ledger_mod._hash_apart(forged, 1) == (forged, {i: i != k for i in range(14)}, None)
@@ -351,8 +393,9 @@ class TestTamperDetection:
             assert isinstance(error, LedgerFormatError) == (k + 1 < len(forged))
             if error is None:
                 assert len(hashed) == k + 1
-            assert ledger_mod._check_held(stream(forged)) == k
-            assert ledger_mod._check_held(stream(forged, fail_at=k + 1)) == k
+            dump = b"".join(frames[:k] + [_edited_frame(frames[k])] + frames[k + 1 :])
+            assert verify_dump_bytes(dump) == k
+            assert verify_dump_bytes(dump[: _framed(dump)[k + 1] + 2] if k + 1 < len(frames) else dump) == k
 
     def test_a_refused_load_hashes_nothing_the_walk_queued(self, monkeypatch):
         """A load that ends in LedgerFormatError keeps no result, so with the
@@ -372,27 +415,6 @@ class TestTamperDetection:
         assert verify_dump_bytes(cut) == 20
         assert hashed == list(range(20))
 
-    def test_a_hash_that_raises_on_a_worker_raises_on_the_walk(self, monkeypatch):
-        """A record whose header cannot be packed gets no result from the pool
-        and raises on the walking thread, as it does in place. Mislinked
-        itself, or placed after a mislinked record, it never raises and the
-        mislinked index is reported."""
-        book = Ledger()
-        for _ in range(2):
-            book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes(64))
-        genesis, first, second = book.records
-        unpackable = LedgerRecord(1, -1, first.kind, None, first.payload, first.prev_hash, first.hash)
-        mislinked = LedgerRecord(1, 1, first.kind, None, first.payload, b"\1" * 32, first.hash)
-        after = LedgerRecord(2, -1, second.kind, None, second.payload, second.prev_hash, second.hash)
-        both = LedgerRecord(1, -1, first.kind, None, first.payload, b"\1" * 32, first.hash)
-        for threads in (0, 1):
-            monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda threads=threads: threads)
-            assert ledger_mod._hash_apart([genesis, unpackable], threads)[1] == {0: True}
-            with pytest.raises(struct.error):
-                ledger_mod._check_held([genesis, unpackable])
-            assert ledger_mod._check_held([genesis, mislinked, after]) == 1
-            assert ledger_mod._check_held([genesis, both, after]) == 1
-
     def test_every_large_record_is_hashed_once_under_contention(self, monkeypatch):
         """Seven worker threads beside the walking caller, more than this
         machine has CPUs, with the interpreter lock passed as often as it can
@@ -408,7 +430,7 @@ class TestTamperDetection:
             held, found, error = ledger_mod._hash_apart(records, 7)
         finally:
             sys.setswitchinterval(interval)
-        assert held == records and error is None
+        assert held == list(records) and error is None
         assert found == {i: True for i in range(len(records))}
         assert sorted(hashed_ids) == list(range(len(records)))
 
@@ -518,8 +540,8 @@ class TestTamperDetection:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         real = ledger_mod._hash_apart
 
-        def nothing_hashed(records, threads, known=()):
-            held, _, error = real(records, threads, known)
+        def nothing_hashed(records, threads):
+            held, _, error = real(records, threads)
             return held, {}, error
 
         monkeypatch.setattr(ledger_mod, "_hash_apart", nothing_hashed)
@@ -564,8 +586,8 @@ def _load_from(loader, blob, tmp_path):
 
 
 class TestLoadChecks:
-    """A load hashes every record once, and verify_chain reuses a record's
-    result only while that record object is at the position it was loaded at."""
+    """A load hashes every record once and checks the chain as it walks, and
+    verify_chain reports what that walk found without hashing anything."""
 
     @pytest.fixture
     def hashed(self, monkeypatch):
@@ -578,59 +600,31 @@ class TestLoadChecks:
     @pytest.mark.parametrize("loader", ["file", "buffer"])
     @pytest.mark.parametrize("k", [1, 4, 7])
     def test_what_changed_after_the_load_is_hashed(self, loader, k, hashed, tmp_path):
-        """A record replaced with its old hash is reported at k, a
-        self-consistent forgery at k+1, a record inserted or appended with a
-        wrong hash at its position and a deletion at k; exactly the records
-        that are new or moved since the load are hashed, and an untouched
-        chain hashes none."""
-        blob = build_ledger(8, payload_size=4000).to_bytes()
-
-        def check(edit):
+        """Whatever a dump changed at frame k is found once the load has
+        hashed it: each splice of _splices is reported at the same index by
+        the independent reader and the four checks, the load hashes every
+        record it keeps once, and verify_chain hashes none."""
+        frames = _frames(build_ledger(8, payload_size=4000).to_bytes())
+        for name, dump, expected in _splices(frames, k):
+            assert checks.read_dump(dump).first_bad == expected, name
+            assert _four_checks(dump, tmp_path) == [expected] * 4, name
             hashed.clear()
-            loaded = _load_from(loader, blob, tmp_path)
-            assert sorted(rec.index for rec in hashed) == list(range(9))
-            records = loaded.records
-            rec = records[k]
-            payload = bytes([rec.payload[0] ^ 1]) + bytes(rec.payload[1:])
+            loaded = _load_from(loader, dump, tmp_path)
+            assert sorted(map(id, hashed)) == sorted(map(id, loaded.records)), name
             hashed.clear()
-            expected, fresh = edit(records, rec, payload)
-            assert loaded.verify_chain() == expected
-            assert sorted(map(id, hashed)) == sorted(map(id, fresh))
-
-        check(lambda records, rec, payload: (None, []))
-
-        def replaced(records, rec, payload):
-            records[k] = dataclasses.replace(rec, payload=payload)
-            return k, [records[k]]
-
-        def forged(records, rec, payload):
-            digest = compute_hash(k, rec.round_no, rec.kind, rec.node_id, payload, rec.prev_hash)
-            records[k] = dataclasses.replace(rec, payload=payload, hash=digest)
-            return k + 1, [records[k]]
-
-        def inserted(records, rec, payload):
-            records.insert(k, dataclasses.replace(rec, payload=payload))
-            return k, records[k:]
-
-        def deleted(records, rec, payload):
-            del records[k]
-            return k, records[k:]
-
-        def appended(records, rec, payload):
-            head = records[-1]
-            records.append(LedgerRecord(9, 3, rec.kind, rec.node_id, payload, head.hash, rec.hash))
-            return 9, records[-1:]
-
-        for edit in (replaced, forged, inserted, deleted, appended):
-            check(edit)
+            assert loaded.verify_chain() == expected and hashed == [], name
 
     def test_the_head_can_go_and_an_honest_append_verifies(self, hashed):
-        loaded = Ledger.from_bytes(build_ledger(8).to_bytes())
-        del loaded.records[-1]
-        hashed.clear()
-        assert loaded.verify_chain() is None and hashed == []
-        appended = loaded.append(3, RecordKind.ACCURACY_LIST, None, b"late")
-        assert loaded.verify_chain() is None and hashed == [appended]
+        """A dump cut at a frame boundary loads intact, and a record appended
+        to it keeps it intact; one appended to a ledger loaded bad at 4 leaves
+        it bad at 4. verify_chain hashes nothing either way."""
+        frames = _frames(build_ledger(8).to_bytes())
+        for dump, expected in ((frames[:-1], None), (frames[:4] + [_edited_frame(frames[4])] + frames[5:], 4)):
+            loaded = Ledger.from_bytes(b"".join(dump))
+            loaded.append(3, RecordKind.ACCURACY_LIST, None, b"late")
+            hashed.clear()
+            assert loaded.verify_chain() == expected and hashed == []
+            assert verify_dump_bytes(loaded.to_bytes()) == expected
 
     def test_writes_to_the_loaded_bytearray_reach_neither_records_nor_check(self):
         """from_bytes copies a bytearray once: mending or zeroing it after the
@@ -643,13 +637,13 @@ class TestLoadChecks:
         assert loaded.verify_chain() == 4
         for write in (lambda: blob.__setitem__(at, blob[at] ^ 1), lambda: blob.__setitem__(slice(None), bytes(len(blob)))):
             write()
-            assert loaded.verify_chain() == 4 and loaded.records == records
+            assert loaded.verify_chain() == 4 and list(loaded.records) == records
 
     def test_a_load_leaves_the_caller_as_it_found_it(self, tmp_path, monkeypatch):
         """After a clean load, a malformed dump and an OSError raised mid-read,
         no worker is left. At every read of the file the calling thread runs
-        on its own CPU set, and from the second read on, once the first
-        record is in, the three hashing threads run beside it."""
+        on its own CPU set, and the three hashing threads, started with the
+        walk, run beside it."""
         own, threads = os.sched_getaffinity(0), threading.active_count()
         monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda: 3)
         blob = build_ledger(20, payload_size=100_000).to_bytes()
@@ -668,7 +662,7 @@ class TestLoadChecks:
         def as_found(reads):
             assert os.sched_getaffinity(0) == own and threading.active_count() == threads
             assert reads(len(during))
-            assert during == [(own, threads + (3 if k else 0)) for k in range(len(during))]
+            assert during == [(own, threads + 3)] * len(during)
             during.clear()
 
         for dump in (blob, blob[:-5]):
@@ -693,6 +687,52 @@ def _framed(blob):
         offsets.append(pos)
         pos += 4 + struct.unpack_from("<I", blob, pos)[0]
     return offsets
+
+
+def _frames(blob):
+    """Each frame of a dump, its u32 length prefix included."""
+    starts = _framed(blob)
+    return [blob[start:end] for start, end in zip(starts, starts[1:] + [len(blob)])]
+
+
+_HEADER_SIZE = 34
+
+
+def _edited_frame(frame, rehash=False):
+    """frame with its first payload byte flipped, under its old hash or with
+    the hash of its new bytes."""
+    hashed = bytearray(frame[4:-32])
+    hashed[_HEADER_SIZE] ^= 1
+    return frame[:4] + bytes(hashed) + (hashlib.sha256(hashed).digest() if rehash else frame[-32:])
+
+
+def _splices(frames, k):
+    """(name, dump, first bad index) for each splice of a well-framed dump at
+    frame k, which must have a frame after it."""
+    late = oracle_frame(len(frames), 9, RecordKind.ACCURACY_LIST.value, None, b"late", frames[-1][-32:])
+    spliced = [
+        ("payload edited under its old hash", frames[:k] + [_edited_frame(frames[k])] + frames[k + 1 :], k),
+        ("re-hashed in place", frames[:k] + [_edited_frame(frames[k], rehash=True)] + frames[k + 1 :], k + 1),
+        ("inserted", frames[:k] + [_edited_frame(frames[k])] + frames[k:], k),
+        ("dropped", frames[:k] + frames[k + 1 :], k),
+        ("swapped", frames[:k] + [frames[k + 1], frames[k]] + frames[k + 2 :], k),
+        ("duplicated", frames[: k + 1] + frames[k:], k + 1),
+        ("wrongly hashed appended", frames + [late[:-1] + bytes([late[-1] ^ 1])], len(frames)),
+    ]
+    return [(name, b"".join(dump), expected) for name, dump, expected in spliced]
+
+
+def _four_checks(dump, tmp_path):
+    """The first bad index of a well-framed dump by verify_dump_bytes,
+    verify_dump_file, and verify_chain after either loader."""
+    path = tmp_path / "ledger.bin"
+    path.write_bytes(dump)
+    return [
+        verify_dump_bytes(dump),
+        verify_dump_file(path)[0],
+        Ledger.from_bytes(dump).verify_chain(),
+        Ledger.read_dump(path).verify_chain(),
+    ]
 
 
 _AGREEMENT_BLOB = build_ledger(8, payload_size=40).to_bytes()

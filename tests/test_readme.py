@@ -9,7 +9,8 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def readme_config_rows() -> dict:
-    text = open(README).read()
+    with open(README) as f:
+        text = f.read()
     section = text[text.index("### Config keys") :]
     section = section[: section.index("\n## ")]
     rows = {}
