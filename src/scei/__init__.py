@@ -10,7 +10,6 @@ mixing weight) run through the same loop for side-by-side evaluation.
 from .contract import (
     AccuracyMatrix,
     AggregationError,
-    ContractState,
     DefenceReport,
     NegotiationGrid,
     Policy,

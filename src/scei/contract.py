@@ -1,7 +1,7 @@
 """Coordinator logic: aggregation, mixing, alpha negotiation, and the upload defence.
 
-All operations are pure functions over values the round loop reads back from
-the ledger. Reductions that feed consensus decisions (averages, negotiation
+All operations are pure functions over values the coordinator's steps read
+from the ledger. Reductions that feed consensus decisions (averages, negotiation
 scores) accumulate sequentially in ascending node order so every run of the
 same inputs produces bit-identical outputs.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,19 +101,6 @@ class DefenceReport:
     quantile_ub: float
     iqr: float
     flagged: frozenset
-
-
-@dataclass(frozen=True)
-class ContractState:
-    """The coordinator's view: participants and suspicion history. The
-    negotiated alphas live in the ledger's ALPHA_DECISION records."""
-
-    active_nodes: tuple
-    suspicion_history: dict
-
-    @classmethod
-    def fresh(cls, node_ids) -> "ContractState":
-        return cls(active_nodes=tuple(sorted(int(n) for n in node_ids)), suspicion_history={})
 
 
 def fed_avg(local_vectors) -> np.ndarray:
@@ -330,39 +317,29 @@ def detect_anomalies(diffs, round_no: int, total_rounds: int, node_ids=None) -> 
     )
 
 
-def update_suspicions(state: ContractState, report: DefenceReport, round_no: int):
-    """Record this round's flags and expel nodes flagged 5 rounds in a row.
-
-    Returns the new state and the nodes expelled this round, ascending.
-    Expelled nodes leave active_nodes; any clean round resets a node's streak
-    because the membership test needs all of rounds t-4..t present.
-    """
-    history = {node: tuple(rounds) for node, rounds in state.suspicion_history.items()}
-    for node in sorted(report.flagged):
-        history[node] = history.get(node, ()) + (round_no,)
-
-    streak = set(range(round_no - EXPULSION_STREAK + 1, round_no + 1))
-    expelled = tuple(
-        node for node in sorted(report.flagged) if node in state.active_nodes and streak <= set(history[node])
-    )
-    active = tuple(n for n in state.active_nodes if n not in expelled)
-    return replace(state, active_nodes=active, suspicion_history=history), expelled
+def update_suspicions(report: DefenceReport, recent):
+    """The nodes to expel, ascending: those flagged now and in each of the
+    last EXPULSION_STREAK - 1 flag sets of recent, the earlier rounds' sets
+    oldest first. Fewer sets than that expel nobody."""
+    window = tuple(recent)[-(EXPULSION_STREAK - 1):]
+    if len(window) < EXPULSION_STREAK - 1:
+        return ()
+    return tuple(node for node in sorted(report.flagged) if all(node in flags for flags in window))
 
 
-def screen(uploads, state: ContractState, round_no: int, total_rounds: int):
-    """One round of upload screening: distances, fences and the suspicion update.
+def screen(uploads, round_no: int, total_rounds: int, recent):
+    """One round of upload screening: distances, fences and the expulsions.
 
-    uploads maps node id to its vector. A non-finite upload stays out of the
-    temporary global, so its own distance is non-finite and flags it. Returns
-    the DefenceReport, the new state and the nodes expelled this round.
+    uploads maps node id to its vector; recent is as for update_suspicions. A
+    non-finite upload stays out of the temporary global, so its own distance
+    is non-finite and flags it. Returns the DefenceReport and the expulsions.
     """
     node_ids = sorted(uploads)
     vectors = [uploads[n] for n in node_ids]
     finite = [v for v in vectors if np.isfinite(v).all()]
     diffs = model_diffs(vectors, fed_avg(finite or vectors))
     report = detect_anomalies(diffs, round_no, total_rounds, node_ids=node_ids)
-    state, expelled = update_suspicions(state, report, round_no)
-    return report, state, expelled
+    return report, update_suspicions(report, recent)
 
 
 def robust_aggregate(locals_by_node, flagged) -> np.ndarray:

@@ -1,20 +1,21 @@
 """Experiment orchestration: config, round loop, baselines, CSV metrics.
 
-The round loop is barrier-synchronized and strictly ordered (training of all
+The round loop is barrier-synchronized and strictly ordered: training of all
 active nodes, uploads in node order, then defence, aggregation, candidate
-evaluation, negotiation, personalization), and every cross-phase artifact
-travels through the ledger: uploads are read back before aggregating, the
-global model is read back before mixing, candidate reports are read back
-before negotiating. Two runs with the same config and seed therefore produce
-identical metrics (timing columns aside) and identical ledger hashes.
+evaluation, negotiation, personalization. The coordinator's only state is the
+ledger. It decides in two steps, each a function of (ledger, round, config)
+that reads with Ledger.read and writes with Ledger.put:
+  settle_uploads  after the uploads: under scei the suspicion set and the
+                  expulsions, then the global model under every scheme but local
+  settle_alpha    after the accuracy lists: the alpha decision (scei only)
+The loop reads every decision back from the ledger and keeps only the active
+nodes. Two runs with the same config and seed therefore produce identical
+metrics (timing columns aside) and identical ledger hashes, and a ledger's node
+records replayed through the two steps rebuild its coordinator records.
 
-Schemes are points of one protocol. The round loop reads the scheme once,
-into three values:
-  screened    uploads pass the defence before aggregation (scei only)
-  aggregated  a global model is formed (every scheme but local)
-  alpha       the fixed mixing weight: 0 for fedavg, 1 for local, the
-              configured value for fixed_alpha; None for scei, whose nodes
-              negotiate it every round
+Schemes are points of one protocol: scei screens the uploads and negotiates
+alpha every round; fedavg, local and fixed_alpha mix with alpha 0, 1 or the
+configured value, and local forms no global model.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contract, node as node_mod
-from .contract import AccuracyMatrix, AggregationError, ContractState, NegotiationGrid, Policy, build_grid
+from .contract import AccuracyMatrix, AggregationError, NegotiationGrid, Policy, build_grid
 from .data import (
     LabeledDataset,
     PartitionSpec,
@@ -168,7 +169,6 @@ CSV_HEADER = ",".join(column for column, _, _, _ in _CSV_COLUMNS)
 class ExperimentResult:
     metrics: tuple
     ledger: Ledger
-    state: ContractState
 
 
 @dataclass(frozen=True)
@@ -269,12 +269,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     with _one_blas_thread():
         book = Ledger()
         nodes = _build_nodes(cfg, _build_splits(cfg), book)
-        state = ContractState.fresh([n.node_id for n in nodes])
 
         try:
             # forked here, so each trainer holds the node datasets and the BLAS pin
             with node_mod.Trainers(nodes, cfg.arch) as trainers:
-                metrics, state = _run_rounds(nodes, book, state, cfg, trainers)
+                metrics = _run_rounds(nodes, book, cfg, trainers)
         finally:
             # the records so far, also when the rounds or the fork end in an
             # exception: the ones up to it are the ones that explain it
@@ -283,22 +282,51 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     if cfg.output_path:
         write_csv(metrics, cfg.output_path)
-    return ExperimentResult(metrics=tuple(metrics), ledger=book, state=state)
+    return ExperimentResult(metrics=tuple(metrics), ledger=book)
 
 
-def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig, trainers=None):
-    """The protocol loop proper; nodes may be hand-built, which the tests use.
-    trainers, a node.Trainers over these nodes, trains shares of each round
-    beside this process."""
-    screened = cfg.scheme is Scheme.SCEI
-    aggregated = cfg.scheme is not Scheme.LOCAL
+def settle_uploads(book: Ledger, round_no: int, cfg: ExperimentConfig) -> None:
+    """The coordinator's step after a round's uploads: under scei, screen them
+    against the previous EXPULSION_STREAK - 1 rounds' suspicion sets and put
+    this round's set and expulsions; then, under every scheme but local, put
+    the average of the unflagged uploads as the round's global model."""
+    uploads = dict(book.read(round_no, RecordKind.LOCAL_WEIGHTS))
+    flagged = frozenset()
+    if cfg.scheme is Scheme.SCEI:
+        window = range(max(1, round_no - contract.EXPULSION_STREAK + 1), round_no)
+        recent = [flags for past in window for _, flags in book.read(past, RecordKind.SUSPICION_SET)]
+        report, expelled = contract.screen(uploads, round_no, cfg.rounds, recent)
+        flagged = report.flagged
+        book.put(round_no, RecordKind.SUSPICION_SET, None, flagged)
+        for node_id in expelled:
+            book.put(round_no, RecordKind.EXPULSION, node_id, None)
+    if cfg.scheme is not Scheme.LOCAL:
+        try:
+            global_weights = contract.robust_aggregate(uploads, flagged)
+        except AggregationError as exc:
+            raise ExperimentAbort(f"round {round_no}: {exc}") from exc
+        book.put(round_no, RecordKind.GLOBAL_WEIGHTS, None, global_weights)
+
+
+def settle_alpha(book: Ledger, round_no: int, cfg: ExperimentConfig) -> None:
+    """The coordinator's step after a round's accuracy lists: it puts the
+    grid alpha that cfg's policy prefers over them."""
+    rows = sorted((node_id, accs) for node_id, (_, accs) in book.read(round_no, RecordKind.ACCURACY_LIST))
+    matrix = AccuracyMatrix(node_ids=[r[0] for r in rows], values=np.array([r[1] for r in rows]))
+    book.put(round_no, RecordKind.ALPHA_DECISION, None, contract.negotiate_alpha(matrix, cfg.grid, cfg.policy))
+
+
+def _run_rounds(nodes, book: Ledger, cfg: ExperimentConfig, trainers=None) -> list:
+    """The node phases around the coordinator's steps; nodes may be hand-built,
+    which the tests use. trainers, a node.Trainers over these nodes, trains
+    shares of each round beside this process."""
     # None: negotiated every round
     fixed_alpha = {Scheme.FEDAVG: 0.0, Scheme.LOCAL: 1.0, Scheme.FIXED_ALPHA: cfg.fixed_alpha}.get(cfg.scheme)
     by_id = {n.node_id: n for n in nodes}
+    active = tuple(sorted(by_id))
     metrics = []
 
     for round_no in range(1, cfg.rounds + 1):
-        active = state.active_nodes
         negotiate_s = dict.fromkeys(active, 0.0)
 
         # phase 1: local training of every active node, then uploads in
@@ -315,31 +343,17 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
             start = time.perf_counter()
             book.put(round_no, RecordKind.LOCAL_WEIGHTS, node_id, next(outgoing))
             ledger_s[node_id] = time.perf_counter() - start
-        uploads = dict(book.read(round_no, RecordKind.LOCAL_WEIGHTS))
 
-        # phase 2: screening
-        flagged, expelled = frozenset(), ()
-        if screened:
-            report, state, expelled = contract.screen(uploads, state, round_no, cfg.rounds)
-            flagged = report.flagged
-            book.put(round_no, RecordKind.SUSPICION_SET, None, flagged)
-            for node_id in expelled:
-                book.put(round_no, RecordKind.EXPULSION, node_id, None)
+        # phase 2: screening and aggregation by the coordinator
+        settle_uploads(book, round_no, cfg)
+        flagged = next((flags for _, flags in book.read(round_no, RecordKind.SUSPICION_SET)), frozenset())
+        expelled = {node_id for node_id, _ in book.read(round_no, RecordKind.EXPULSION)}
+        global_weights = next((w for _, w in book.read(round_no, RecordKind.GLOBAL_WEIGHTS)), None)
 
-        # phase 3: aggregation of the unflagged uploads
-        global_weights = None
-        if aggregated:
-            try:
-                global_weights = contract.robust_aggregate(uploads, flagged)
-            except AggregationError as exc:
-                raise ExperimentAbort(f"round {round_no}: {exc}") from exc
-            book.put(round_no, RecordKind.GLOBAL_WEIGHTS, None, global_weights)
-            [(_, global_weights)] = book.read(round_no, RecordKind.GLOBAL_WEIGHTS)
-
-        # phase 4: candidate evaluation and negotiation by the unflagged nodes
+        # phase 3: candidate evaluation by the unflagged nodes, then negotiation
         alpha, candidate_acc = fixed_alpha, {}
         if alpha is None:
-            for node_id in state.active_nodes:
+            for node_id in active:
                 if node_id in flagged:
                     continue
                 start = time.perf_counter()
@@ -348,14 +362,12 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                 start = time.perf_counter()
                 book.put(round_no, RecordKind.ACCURACY_LIST, node_id, (cfg.grid.alphas, accuracies))
                 ledger_s[node_id] += time.perf_counter() - start
-
-            rows = sorted((node_id, accs) for node_id, (_, accs) in book.read(round_no, RecordKind.ACCURACY_LIST))
-            matrix = AccuracyMatrix(node_ids=[r[0] for r in rows], values=np.array([r[1] for r in rows]))
-            book.put(round_no, RecordKind.ALPHA_DECISION, None, contract.negotiate_alpha(matrix, cfg.grid, cfg.policy))
+            settle_alpha(book, round_no, cfg)
             [(_, (alpha, grid_index))] = book.read(round_no, RecordKind.ALPHA_DECISION)
-            candidate_acc = {node_id: accs[grid_index] for node_id, accs in rows}
+            lists = book.read(round_no, RecordKind.ACCURACY_LIST)
+            candidate_acc = {node_id: accs[grid_index] for node_id, (_, accs) in lists}
 
-        # phase 5: personalization and metrics; a node expelled this round
+        # phase 4: personalization and metrics; a node expelled this round
         # keeps its model, and with no global model formed a node's own
         # weights stand in for it
         for node_id in active:
@@ -379,7 +391,8 @@ def _run_rounds(nodes, book: Ledger, state: ContractState, cfg: ExperimentConfig
                     ledger_s=ledger_s[node_id],
                 )
             )
-    return metrics, state
+        active = tuple(n for n in active if n not in expelled)
+    return metrics
 
 
 def write_csv(metrics, path) -> None:

@@ -288,6 +288,11 @@ def _check_id(name, value) -> None:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
 
 
+def _check_kind(kind) -> None:
+    if not isinstance(kind, RecordKind):
+        raise TypeError(f"kind must be a RecordKind, got {type(kind).__name__}")
+
+
 class Ledger:
     """Sequence of hash-chained records with a single deterministic append
     point: records enter only through append and the two loaders."""
@@ -316,8 +321,7 @@ class Ledger:
         _check_id("round_no", round_no)
         if node_id is not None:
             _check_id("node_id", node_id)
-        if not isinstance(kind, RecordKind):
-            raise TypeError(f"kind must be a RecordKind, got {type(kind).__name__}")
+        _check_kind(kind)
         if kind is RecordKind.GENESIS:
             raise ValueError("genesis records exist only at index 0")
         if not isinstance(payload, (bytes, bytearray, memoryview)):
@@ -343,12 +347,14 @@ class Ledger:
 
     def put(self, round_no: int, kind: RecordKind, node_id, value) -> LedgerRecord:
         """Append value, encoded in the payload layout of its kind."""
+        _check_kind(kind)
         if kind is RecordKind.GENESIS:
             raise ValueError("genesis records exist only at index 0")
         return self.append(round_no, kind, node_id, _PAYLOADS[kind][0](value))
 
     def read(self, round_no: int, kind: RecordKind) -> list:
         """(node id, decoded value) of each record of that round and kind, in ledger order."""
+        _check_kind(kind)
         if kind is RecordKind.GENESIS:
             raise ValueError("the genesis record has no put/read payload layout yet")
         return [(rec.node_id, _PAYLOADS[kind][1](rec.payload)) for rec in self.query_round(round_no, kind)]

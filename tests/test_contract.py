@@ -14,7 +14,6 @@ from scei.contract import (
     MAX_GRID_CANDIDATES,
     AccuracyMatrix,
     AggregationError,
-    ContractState,
     DefenceReport,
     NegotiationGrid,
     Policy,
@@ -474,66 +473,52 @@ class TestInterpolatedQuantile:
         assert interpolated_quantile(xs, 0.5) == 2.0
 
 
-def _state(active=range(10)):
-    return ContractState.fresh(active)
-
-
 def _report(flagged):
     return DefenceReport(
         diffs={}, quantile_lb=0.25, quantile_ub=0.75, iqr=1.0, flagged=frozenset(flagged)
     )
 
 
+def _flag_rounds(flags_per_round):
+    """update_suspicions over rounds 1, 2, ...: each round's expulsions, with
+    recent built from the earlier rounds' flag sets as the ledger holds them."""
+    recent, expulsions = [], []
+    for flags in flags_per_round:
+        expulsions.append(update_suspicions(_report(flags), recent))
+        recent.append(frozenset(flags))
+    return expulsions
+
+
 class TestUpdateSuspicions:
     def test_five_consecutive_flags_expel_at_fifth(self):
-        state = _state()
-        for t in range(1, 6):
-            state, expelled = update_suspicions(state, _report({4}), t)
-            if t < 5:
-                assert 4 in state.active_nodes
-                assert expelled == ()
-            else:
-                assert 4 not in state.active_nodes
-                assert expelled == (4,)
+        assert _flag_rounds([{4}] * 5) == [(), (), (), (), (4,)]
 
     def test_broken_streak_resets(self):
-        state = _state()
-        for t in (1, 2, 3, 4):
-            state, _ = update_suspicions(state, _report({2}), t)
-        state, _ = update_suspicions(state, _report(set()), 5)
-        for t in (6, 7, 8, 9):
-            state, expelled = update_suspicions(state, _report({2}), t)
-        assert 2 in state.active_nodes
-        assert expelled == ()
+        assert _flag_rounds([{2}] * 4 + [set()] + [{2}] * 4) == [()] * 9
 
     def test_sliding_window_rounds_3_to_7(self):
-        state = _state()
-        for t in range(3, 8):
-            state, expelled = update_suspicions(state, _report({6}), t)
-        assert 6 not in state.active_nodes
-        assert expelled == (6,)
+        assert _flag_rounds([set(), set()] + [{6}] * 5) == [()] * 6 + [(6,)]
 
     def test_history_accumulates_for_all_flagged(self):
-        state, _ = update_suspicions(_state(), _report({1, 2}), 1)
-        state, _ = update_suspicions(state, _report({2}), 2)
-        assert state.suspicion_history == {1: (1,), 2: (1, 2)}
+        """Each flagged node's streak is counted on its own, and every node
+        with a full one is expelled, ascending."""
+        flags = [{1, 2, 3}, {1, 2, 3}, {2, 3}, {1, 2, 3}, {3, 2, 1}]
+        assert _flag_rounds(flags) == [(), (), (), (), (2, 3)]
 
     def test_does_not_mutate_input_state(self):
-        state = _state()
-        update_suspicions(state, _report({0}), 1)
-        assert state.suspicion_history == {}
-        assert len(state.active_nodes) == 10
+        recent = [frozenset({0})] * 4
+        assert update_suspicions(_report({0}), recent) == (0,)
+        assert recent == [frozenset({0})] * 4
 
 
-def inline_screen(uploads, state, round_no, total_rounds):
+def inline_screen(uploads, round_no, total_rounds, recent):
     """The round loop's screening as it was composed inline before `screen`."""
     ordered_ids = sorted(uploads)
     vectors = [uploads[n] for n in ordered_ids]
     finite = [v for v in vectors if np.isfinite(v).all()]
     diffs = model_diffs(vectors, fed_avg(finite or vectors))
     report = detect_anomalies(diffs, round_no, total_rounds, node_ids=ordered_ids)
-    state, expelled = update_suspicions(state, report, round_no)
-    return report, state, expelled
+    return report, update_suspicions(report, recent)
 
 
 SPECIAL_VALUES = (np.inf, -np.inf, np.nan, 1e308, -1e308)
@@ -543,38 +528,40 @@ class TestScreen:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6), st.floats(0.0, 0.5))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_inline_composition(self, seed, nodes, length, poison):
-        """Same report, state and expulsions over six rounds of uploads whose
-        entries are, with probability `poison`, inf, nan or +-1e308."""
+        """Same report and expulsions over six rounds of uploads whose entries
+        are, with probability `poison`, inf, nan or +-1e308."""
         rng = np.random.default_rng(seed)
-        ours = theirs = ContractState.fresh(rng.choice(12, size=nodes, replace=False))
+        active = sorted(int(n) for n in rng.choice(12, size=nodes, replace=False))
+        recent = []
         with np.errstate(all="ignore"):
             for round_no in range(1, 7):
                 uploads = {}
-                for node in ours.active_nodes:
+                for node in active:
                     v = rng.normal(size=length) * 10.0 ** int(rng.integers(-3, 4))
                     hit = rng.random(length) < poison
                     v[hit] = rng.choice(SPECIAL_VALUES, size=int(hit.sum()))
                     uploads[node] = v
                 if not uploads:
                     break
-                got = screen(uploads, ours, round_no, 6)
-                want = inline_screen(uploads, theirs, round_no, 6)
+                got = screen(uploads, round_no, 6, recent)
+                want = inline_screen(uploads, round_no, 6, recent)
                 # repr compares nan distances too, and every float bit for bit
                 assert repr(got) == repr(want)
-                ours, theirs = got[1], want[1]
+                recent.append(got[0].flagged)
+                active = [n for n in active if n not in got[1]]
 
     def test_a_non_finite_upload_is_expelled_at_the_fifth_round(self):
-        state = ContractState.fresh(range(6))
+        active, recent = range(6), []
         for round_no in range(1, 7):
-            uploads = {node: np.full(20, float(round_no)) for node in state.active_nodes}
+            uploads = {node: np.full(20, float(round_no)) for node in active}
             if 3 in uploads:
                 uploads[3] = np.full(20, np.nan if round_no % 2 else np.inf)
-            report, state, expelled = screen(uploads, state, round_no, 10)
+            report, expelled = screen(uploads, round_no, 10, recent)
             assert report.flagged == ({3} if round_no <= 5 else set())
             assert expelled == ((3,) if round_no == 5 else ())
-        assert state.active_nodes == (0, 1, 2, 4, 5)
-        assert state.suspicion_history == {3: (1, 2, 3, 4, 5)}
-
+            recent.append(report.flagged)
+            active = [n for n in active if n not in expelled]
+        assert active == [0, 1, 2, 4, 5]
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -598,7 +585,7 @@ class TestScreen:
         vectors = [rng.normal(size=64) for _ in range(honest)]
         vectors.insert(data.draw(st.integers(0, honest)), wild)
         uploads = dict(enumerate(vectors))
-        report, _, _ = screen(uploads, ContractState.fresh(uploads), round_no, 12)
+        report, _ = screen(uploads, round_no, 12, [])
         assert np.isfinite(robust_aggregate(uploads, report.flagged)).all()
 
 

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from scei.contract import ContractState, NegotiationGrid, Policy, build_grid
+from scei.contract import NegotiationGrid, Policy, build_grid
 from scei.data import LabeledDataset, NodeDataSplit, PartitionSpec
 import scei.harness as harness
 from scei.harness import (
@@ -30,6 +30,8 @@ from scei.harness import (
     read_metrics_csv,
     run_experiment,
     summarize,
+    settle_alpha,
+    settle_uploads,
     write_csv,
     _run_rounds,
 )
@@ -279,8 +281,7 @@ class TestSymmetry:
         nodes = _identical_nodes(cfg.arch, weights)
         book = Ledger()
         book.append(0, RecordKind.GLOBAL_WEIGHTS, None, encode_params(weights))
-        state = ContractState.fresh([0, 1])
-        metrics, state = _run_rounds(nodes, book, state, cfg)
+        metrics = _run_rounds(nodes, book, cfg)
         # identical data and identical training make every accuracy column tie,
         # so negotiation must settle on the grid minimum
         assert recorded_alphas(book) == [0.5, 0.5]
@@ -290,6 +291,66 @@ class TestSymmetry:
             per_round.setdefault(m.round_no, []).append(m.accuracy)
         for accs in per_round.values():
             assert len(set(accs)) == 1
+
+
+def rebuild(book, cfg):
+    """A fresh ledger holding book's round-0 global and node records, with
+    every coordinator record put by the two steps in between."""
+    rebuilt = Ledger()
+
+    def copy(round_no, kind):
+        for rec in book.query_round(round_no, kind):
+            rebuilt.append(rec.round_no, rec.kind, rec.node_id, rec.payload)
+
+    copy(0, RecordKind.GLOBAL_WEIGHTS)
+    for round_no in range(1, cfg.rounds + 1):
+        copy(round_no, RecordKind.LOCAL_WEIGHTS)
+        settle_uploads(rebuilt, round_no, cfg)
+        copy(round_no, RecordKind.ACCURACY_LIST)
+        if cfg.scheme is Scheme.SCEI:
+            settle_alpha(rebuilt, round_no, cfg)
+    return rebuilt
+
+
+def golden_config(scheme):
+    extra = {"fixed_alpha": "0.75"} if scheme == "fixed_alpha" else {}
+    return build_config(dict(parse_config_file(SAMPLE_CONFIG), scheme=scheme, **extra), rounds=5)
+
+
+class TestCoordinatorSteps:
+    """The coordinator's records follow from the ledger alone: its two steps,
+    run between copies of a run's node records, rebuild the run's chain."""
+
+    @pytest.mark.parametrize("scheme", ["scei", "fedavg", "local", "fixed_alpha"])
+    def test_the_steps_rebuild_each_golden_run(self, scheme):
+        cfg = golden_config(scheme)
+        book = run_experiment(cfg).ledger
+        rebuilt = rebuild(book, cfg)
+        assert len(rebuilt) == len(book)
+        assert rebuilt.head_hash == book.head_hash
+
+    def test_the_steps_rebuild_a_run_with_an_expulsion(self):
+        cfg = small_config(Scheme.SCEI, rounds=6, num_nodes=8, attacks=((2, AdditiveNoise(25.0, 1)),))
+        book = run_experiment(cfg).ledger
+        assert [(r.round_no, r.node_id) for r in book.records if r.kind is RecordKind.EXPULSION] == [(5, 2)]
+        assert rebuild(book, cfg).head_hash == book.head_hash
+
+    def test_a_rehashed_forgery_is_named_at_its_round(self):
+        """Node 4's round-3 upload edited and the chain re-hashed: the chain
+        checks out, and the first rebuilt record that differs is one of the
+        coordinator's round-3 records."""
+        cfg = golden_config("scei")
+        forged = Ledger()
+        for rec in run_experiment(cfg).ledger.records[1:]:
+            payload = rec.payload
+            if (rec.round_no, rec.kind, rec.node_id) == (3, RecordKind.LOCAL_WEIGHTS, 4):
+                payload = encode_params(decode_params(payload) * 1.01)
+            forged.append(rec.round_no, rec.kind, rec.node_id, payload)
+        assert forged.verify_chain() is None
+        rebuilt = rebuild(forged, cfg)
+        first = next(r for r, f in zip(rebuilt.records, forged.records) if r.hash != f.hash)
+        assert first.round_no == 3
+        assert first.kind in (RecordKind.SUSPICION_SET, RecordKind.EXPULSION, RecordKind.GLOBAL_WEIGHTS)
 
 
 class TestAttacksAndDefence:
@@ -308,7 +369,6 @@ class TestAttacksAndDefence:
         assert (5, 2) in expelled
         # no rows after expulsion
         assert all(m.round_no <= 5 for m in result.metrics if m.node_id == 2)
-        assert 2 not in result.state.active_nodes
         exp_records = [r for r in result.ledger.records if r.kind is RecordKind.EXPULSION]
         assert [(r.round_no, r.node_id) for r in exp_records] == [(5, 2)]
 

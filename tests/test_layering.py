@@ -67,6 +67,63 @@ def test_the_screen_guard_sees_every_reference_form():
     assert sorted(screen_parts_used(tree)) == sorted(SCREEN_PARTS)
 
 
+# the coordinator's records: in harness.py, only its two steps write them, so
+# the round loop and an auditor replaying a dump through the steps cannot
+# decide differently; round 0's global is the one exception
+COORDINATOR_KINDS = {"SUSPICION_SET", "EXPULSION", "GLOBAL_WEIGHTS", "ALPHA_DECISION"}
+NODE_KINDS = {"LOCAL_WEIGHTS", "ACCURACY_LIST"}
+COORDINATOR_STEPS = {"settle_uploads", "settle_alpha"}
+
+
+def coordinator_writes(tree: ast.AST, function=None):
+    """(enclosing function, kind) of every put or append call that may write a
+    coordinator record: its kind names one, or is not spelled as a node kind."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from coordinator_writes(node, node.name)
+            continue
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("put", "append"):
+            kinds = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "kind"]
+            for kind in kinds:
+                name = getattr(kind, "attr", getattr(kind, "id", None))
+                if name not in NODE_KINDS:
+                    yield function, name if name in COORDINATOR_KINDS else "?"
+        yield from coordinator_writes(node, function)
+
+
+def test_only_the_coordinator_steps_write_coordinator_records():
+    path = SRC / "harness.py"
+    writes = set(coordinator_writes(ast.parse(path.read_text(), filename=str(path))))
+    assert {(f, kind) for f, kind in writes if f not in COORDINATOR_STEPS} == {("_build_nodes", "GLOBAL_WEIGHTS")}
+    assert {kind for f, kind in writes if f in COORDINATOR_STEPS} == COORDINATOR_KINDS
+
+
+def test_the_round_loop_makes_no_coordinator_decision():
+    path = SRC / "harness.py"
+    [loop] = [f for f in ast.walk(ast.parse(path.read_text())) if isinstance(f, ast.FunctionDef) and f.name == "_run_rounds"]
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(loop)}
+    assert names & ({"screen", "robust_aggregate", "negotiate_alpha"} | SCREEN_PARTS) == set()
+
+
+def test_the_coordinator_write_guard_sees_every_reference_form():
+    tree = ast.parse(
+        "book.put(1, RecordKind.EXPULSION, n, None)\n"
+        "def step():\n    book.put(1, ledger.RecordKind.SUSPICION_SET, None, f)\n"
+        "    def inner():\n        book.append(1, K.ALPHA_DECISION, None, b'')\n"
+        "    book.put(1, kind=GLOBAL_WEIGHTS, node_id=None, value=w)\n"
+        "class Loop:\n    def run(self):\n        book.put(1, kind, None, w)\n        book.put(1, RecordKind(3), None, w)\n"
+        "book.put(1, RecordKind.LOCAL_WEIGHTS, 0, w)\nbook.append(1, RecordKind.ACCURACY_LIST, 0, b'')\nrows.append(x)\n"
+    )
+    assert list(coordinator_writes(tree)) == [
+        (None, "EXPULSION"),
+        ("step", "SUSPICION_SET"),
+        ("inner", "ALPHA_DECISION"),
+        ("step", "GLOBAL_WEIGHTS"),
+        ("run", "?"),
+        ("run", "?"),
+    ]
+
+
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

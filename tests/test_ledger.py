@@ -938,6 +938,17 @@ class TestPutAndRead:
         with pytest.raises(ValueError, match="^the genesis record has no put/read payload layout yet$"):
             Ledger().read(0, RecordKind.GENESIS)
 
+    @pytest.mark.parametrize("kind", [2, "GLOBAL_WEIGHTS", None])
+    def test_put_and_read_refuse_a_kind_that_is_not_a_record_kind(self, kind):
+        """put and read refuse it as append does, before any lookup or append."""
+        book = Ledger()
+        message = f"^kind must be a RecordKind, got {type(kind).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            book.put(1, kind, None, b"")
+        with pytest.raises(TypeError, match=message):
+            book.read(1, kind)
+        assert len(book) == 1
+
     @pytest.mark.parametrize("kind", list(PUT_VALUES), ids=lambda kind: kind.name)
     def test_put_then_read_round_trips_bit_for_bit(self, kind):
         """put appends the layout's bytes, and read gives back the value that
