@@ -319,7 +319,7 @@ def settle_alpha(book: Ledger, round_no: int, cfg: ExperimentConfig) -> None:
 def _run_rounds(nodes, book: Ledger, cfg: ExperimentConfig, trainers=None) -> list:
     """The node phases around the coordinator's steps; nodes may be hand-built,
     which the tests use. trainers, a node.Trainers over these nodes, trains
-    shares of each round beside this process."""
+    each round, in its processes and this one; without it, this one alone."""
     # None: negotiated every round
     fixed_alpha = {Scheme.FEDAVG: 0.0, Scheme.LOCAL: 1.0, Scheme.FIXED_ALPHA: cfg.fixed_alpha}.get(cfg.scheme)
     by_id = {n.node_id: n for n in nodes}

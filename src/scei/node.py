@@ -97,38 +97,37 @@ class TrainerExited(RuntimeError):
 
 
 class Trainers:
-    """Processes that train shares of a round's nodes beside the caller.
+    """Trains a round's nodes: in the caller, and in one forked trainer
+    process per usable CPU beyond the first, at most one fewer than the
+    nodes, each training a share beside the caller.
 
-    One per usable CPU beyond the first, at most one fewer than the nodes,
-    forked when this is made, so each holds the nodes' training sets and the
-    caller's BLAS settings. None where none can be forked: the platform has
-    no fork or cannot say which CPUs the process may run on, or this is a
-    daemonic process, such as a multiprocessing pool's worker, which
-    multiprocessing lets start no process.
+    The trainers fork when this is made, so each holds the nodes' training
+    sets and the caller's BLAS settings. None fork, and the caller trains
+    every node, where the platform has no fork or cannot say which CPUs the
+    process may run on, or this is a daemonic process, such as a
+    multiprocessing pool's worker, which multiprocessing lets start no
+    process.
 
-    The stacks travel in one shared anonymous mmap made before the fork, a
-    row per node: the caller writes a share's starting rows, its trainer
-    trains them in place, and the caller copies them out. The caller
-    releases its mapping of the rows after writing them and after copying
+    The trainers' stacks travel in one shared anonymous mmap made before the
+    fork, a row per node: the caller writes a share's starting rows, its
+    trainer trains them in place, and the caller copies them out. The caller
+    drops its mapping of the rows after writing each share and after copying
     each stack, so it holds at most one stack of them at a time. close()
     stops and reaps the trainers.
     """
 
     def __init__(self, nodes, arch: MlpArchitecture):
+        self._arch = arch
         self._procs, self._conns, self._region, self._rows = [], [], None, None
-        # imported here, not with the module: it adds about 4 ms to the start
-        # of every process that imports scei, and most of them train nothing
+        getaffinity = getattr(os, "sched_getaffinity", None)
+        count = min(len(getaffinity(0)), len(nodes)) - 1 if getaffinity is not None else 0
+        if count < 1:
+            return
+        # imported only now: it adds about 4 ms to the start of every process
+        # that imports scei, and most of them fork no trainer
         import multiprocessing
 
-        getaffinity = getattr(os, "sched_getaffinity", None)
-        if (
-            getaffinity is None
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-        ):
-            return
-        count = min(len(getaffinity(0)), len(nodes)) - 1
-        if count < 1:
+        if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
             return
         self._region = mmap.mmap(-1, 8 * arch.param_count * len(nodes))
         self._rows = np.frombuffer(self._region).reshape(len(nodes), arch.param_count)
@@ -161,16 +160,26 @@ class Trainers:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def train(self, train_cfg: TrainingConfig, shares, train_own) -> list:
-        """Start each trainer on its share, run train_own() here meanwhile,
-        and return (group, trained stack) for every stack of the trainers'
-        shares, in order, each stack a view of its rows in the region.
+    def train(self, train_cfg: TrainingConfig, nodes) -> list:
+        """Train nodes, a round's in id order, from their personal models,
+        give each its own copy of its trained row, and return the ids of the
+        rows that are not finite.
 
-        shares holds one list of node groups per trainer. Every trainer is
-        answered for before this returns or raises, so none is left busy:
-        an exception of train_own wins, then the first trainer's, in trainer
-        order; a trainer that died raises TrainerExited with its exit code.
+        nodes split into one contiguous share per process, the caller's
+        first, and each share into stacked sgd_train calls of at most
+        _STACK_BYTES of parameters; a row trains as it would alone. Every
+        trainer is answered for before this returns or raises, so none is
+        left busy: an exception of the caller's own share wins, then the
+        first trainer's, in trainer order; a trainer that died raises
+        TrainerExited with its exit code.
         """
+        processes = 1 + len(self._procs)
+        per_stack = max(1, _STACK_BYTES // (8 * self._arch.param_count))
+        cuts = [len(nodes) * k // processes for k in range(processes + 1)]
+        own, *shares = (
+            [nodes[i : min(i + per_stack, stop)] for i in range(start, stop, per_stack)]
+            for start, stop in zip(cuts, cuts[1:])
+        )
         placed, slot = [], 0
         for conn, share in zip(self._conns, shares):
             job = []
@@ -182,22 +191,26 @@ class Trainers:
             # a trainer that is gone answers with its exit code below
             with contextlib.suppress(OSError):
                 conn.send((train_cfg, job))
-        self.release()
+            self._release()
+        diverged = []
         try:
-            train_own()
+            for group in own:
+                stack = np.stack([node.personalized for node in group])
+                diverged += _keep(group, sgd_train(stack, self._arch, train_cfg, [node.split.train for node in group]))
         finally:
             answers = [_answer(proc, conn) for proc, conn in zip(self._procs, self._conns)]
         for error in answers:
             if error is not None:
                 raise error
-        return placed
+        for group, rows in placed:
+            diverged += _keep(group, rows)
+            self._release()
+        return diverged
 
-    def release(self) -> None:
+    def _release(self) -> None:
         """Drop this process's mapping of the region's pages. The rows stay in
-        the shared memory, for the trainers and for a later read here. With
-        no trainers there is no region, and this does nothing."""
-        if self._region is not None:
-            self._region.madvise(mmap.MADV_DONTNEED)
+        the shared memory, for the trainers and for a later read here."""
+        self._region.madvise(mmap.MADV_DONTNEED)
 
     def close(self) -> None:
         """Close every pipe, so each idle trainer returns, and reap them all;
@@ -213,6 +226,16 @@ class Trainers:
         # views of the rows may outlive this in a traceback, so the mapping
         # goes when the last of them does
         self._region = self._rows = None
+
+
+def _keep(group, stack) -> list:
+    """Give each node of group its own copy of its trained row in stack, and
+    return the ids of the nodes whose row is not finite."""
+    for node, row in zip(group, stack):
+        node.local_weights = row.copy()
+    if np.isfinite(stack).all():
+        return []
+    return [node.node_id for node, row in zip(group, stack) if not np.isfinite(row).all()]
 
 
 def _answer(proc, conn):
@@ -260,53 +283,24 @@ def local_round(
 ) -> Iterator[np.ndarray]:
     """Train each node from its personal model and return the vectors to upload.
 
-    `nodes` are the round's active nodes in ascending id order; the uploads
-    come back in that order, each built only when the iterator reaches it,
-    so a caller that stores each as it comes holds one at a time. Nodes with
-    equal train sizes form a group; each group splits into one contiguous
-    share per process, the caller's first and one per process of
-    `trainers`, and each share trains in stacked sgd_train calls of at most
-    _STACK_BYTES of parameters. A row trains as it would alone, so the
-    uploads do not depend on the number of trainers. sgd_train trains a fresh
-    stack of the personal models in place, and each node gets its own copy
-    of its row. The shuffle seed derives from (cfg.rng_seed, round), the
-    attack noise seed from (cfg.rng_seed, node_id, round), so runs replay
-    exactly. An active attack corrupts only the returned upload;
+    `nodes` are the round's active nodes in ascending id order, all with
+    train sets of one length, or a ValueError naming the lengths comes before
+    any training; the uploads come back in that order, each built only when
+    the iterator reaches it, so a caller that stores each as it comes holds
+    one at a time. `trainers.train` trains them, or without `trainers` a
+    Trainers with no process, which trains them all here; the uploads do not
+    depend on which. The shuffle seed derives from (cfg.rng_seed, round),
+    the attack noise seed from (cfg.rng_seed, node_id, round), so runs
+    replay exactly. An active attack corrupts only the returned upload;
     node.local_weights stays honest. Raises NonFiniteWeights if training
     diverged for any node, and TrainerExited if a trainer process died.
     """
-    train_cfg = replace(cfg, rng_seed=derive_seed(cfg.rng_seed, round_no, _TRAIN_TAG))
-    per_stack = max(1, _STACK_BYTES // (8 * arch.param_count))
-    processes = 1 + (len(trainers) if trainers is not None else 0)
-    same_length = {}
-    for node in nodes:
-        same_length.setdefault(len(node.split.train), []).append(node)
-    shares = [[] for _ in range(processes)]
-    for group in same_length.values():
-        cuts = [len(group) * k // processes for k in range(processes + 1)]
-        for share, start, stop in zip(shares, cuts, cuts[1:]):
-            share += [group[i : min(i + per_stack, stop)] for i in range(start, stop, per_stack)]
-
-    diverged = []
-
-    def keep(group, stack):
-        """Each node's own copy of its trained row; non-finite rows noted."""
-        if not np.isfinite(stack).all():
-            diverged.extend(node.node_id for node, row in zip(group, stack) if not np.isfinite(row).all())
-        for node, row in zip(group, stack):
-            node.local_weights = row.copy()
-
-    def train_own():
-        for group in shares[0]:
-            stack = np.stack([node.personalized for node in group])
-            keep(group, sgd_train(stack, arch, train_cfg, [node.split.train for node in group]))
-
-    if processes == 1:
-        train_own()
-    else:
-        for group, stack in trainers.train(train_cfg, shares[1:], train_own):
-            keep(group, stack)
-            trainers.release()
+    lengths = sorted({len(node.split.train) for node in nodes})
+    if len(lengths) > 1:
+        raise ValueError(f"a round trains nodes of one train length, got {', '.join(map(str, lengths))}")
+    if trainers is None:
+        trainers = Trainers((), arch)
+    diverged = trainers.train(replace(cfg, rng_seed=derive_seed(cfg.rng_seed, round_no, _TRAIN_TAG)), nodes)
     if diverged:
         raise NonFiniteWeights(sorted(diverged))
     return (_upload(node, cfg, round_no) for node in nodes)

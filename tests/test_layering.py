@@ -197,3 +197,71 @@ def test_the_codec_guard_sees_every_reference_form():
         "from scei.ledger import encode_alpha_decision as pack\nbook.put(1, kind, None, value)\nbook.read(1, kind)\n"
     )
     assert sorted(codec_names(tree)) == ["decode_accuracy_list", "decode_node_set", "encode_alpha_decision", "encode_params"]
+
+
+REFERENCE_FIELDS = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name", ast.Constant: "value"}
+
+
+def scoped_references(tree: ast.AST, names, scope=None):
+    """(scope, name) of every reference to one of names: an attribute, a bare
+    name, an imported name or a string. The scope is the enclosing def or
+    class, dotted ("Trainers.train"), or None at module level; a plain
+    import is scoped "<import>", and one renamed with `as` where it stands."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scoped_references(node, names, node.name if scope is None else f"{scope}.{node.name}")
+            continue
+        name = getattr(node, REFERENCE_FIELDS.get(type(node), ""), None)
+        if name in names:
+            yield "<import>" if isinstance(node, ast.alias) and node.asname is None else scope, name
+        yield from scoped_references(node, names, scope)
+
+
+def test_only_the_trainers_call_sgd_train():
+    """A round trains along one path: Trainers.train trains the caller's
+    share and _serve a trainer's, so local_round cannot train a second way."""
+    path = SRC / "node.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(set(scoped_references(tree, {"sgd_train"}))) == [
+        ("<import>", "sgd_train"),
+        ("Trainers.train", "sgd_train"),
+        ("_serve", "sgd_train"),
+    ]
+
+
+def test_the_second_training_path_is_gone():
+    """local_round holds no closure, and nothing in the program names the
+    callback, the train-length groups or a public release of the rows."""
+    path = SRC / "node.py"
+    [fn] = [f for f in ast.walk(ast.parse(path.read_text())) if isinstance(f, ast.FunctionDef) and f.name == "local_round"]
+    assert [n for n in ast.walk(fn) if isinstance(n, (ast.FunctionDef, ast.Lambda))] == [fn]
+    gone = {"train_own", "same_length", "release"}
+    found = [
+        (path.name, name)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in [getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None)]
+        if name in gone
+    ]
+    assert found == []
+
+
+def test_the_sgd_train_guard_sees_every_reference_form():
+    tree = ast.parse(
+        "from .model import sgd_train\nfrom .model import sgd_train as fit\nmodel.sgd_train(s)\n"
+        "class Trainers:\n    def train(self):\n        sgd_train(s)\n        def own():\n            sgd_train(s)\n"
+        "    def close(self):\n        run = model.sgd_train\n"
+        "def _serve():\n    getattr(model, 'sgd_train')(s)\n    from .model import sgd_train as fit\n"
+        "def local_round():\n    lambda: sgd_train(s)\n    sgd_trainer(s)\n"
+    )
+    assert list(scoped_references(tree, {"sgd_train"})) == [
+        ("<import>", "sgd_train"),
+        (None, "sgd_train"),
+        (None, "sgd_train"),
+        ("Trainers.train", "sgd_train"),
+        ("Trainers.train.own", "sgd_train"),
+        ("Trainers.close", "sgd_train"),
+        ("_serve", "sgd_train"),
+        ("_serve", "sgd_train"),
+        ("local_round", "sgd_train"),
+    ]

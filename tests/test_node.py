@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -136,24 +137,25 @@ class TestLocalRound:
 
 
 class TestLocalRoundStack:
-    """Several nodes per call: stacked by train length, each as if trained alone."""
+    """Several nodes per call: stacked, each as if trained alone."""
 
     def make_nodes(self):
-        # train lengths 30, 25, 30, 25, 30: two stacks, interleaved in id order
+        # five nodes of one train length, 30; node 3 flips its upload
         return [
-            make_node(node_id=i, seed=i, n=40 if i % 2 == 0 else 35,
-                      attack=SignFlip(start_round=1) if i == 3 else None)
+            make_node(node_id=i, seed=i, attack=SignFlip(start_round=1) if i == 3 else None)
             for i in range(5)
         ]
 
-    def test_unequal_train_lengths_match_single_node_rounds(self):
-        together = self.make_nodes()
-        alone = self.make_nodes()
-        uploads = list(local_round(together, ARCH, CFG, 2))
-        for node, single, upload in zip(together, alone, uploads):
-            assert np.array_equal(upload, next(local_round([single], ARCH, CFG, 2)))
-            assert np.array_equal(node.local_weights, single.local_weights)
-        assert np.array_equal(uploads[3], -together[3].local_weights)
+    def test_unequal_train_lengths_are_refused_before_any_training(self, monkeypatch):
+        """A round trains nodes of one train length; others are refused by
+        their lengths before sgd_train sees any node."""
+        trained = []
+        monkeypatch.setattr(node_mod, "sgd_train", lambda *args: trained.append(args))
+        nodes = [make_node(node_id=i, seed=i, n=(40, 35, 40, 45)[i]) for i in range(4)]
+        with pytest.raises(ValueError) as exc:
+            local_round(nodes, ARCH, CFG, 2)
+        assert str(exc.value) == "a round trains nodes of one train length, got 25, 30, 35"
+        assert trained == []
 
     def test_stacks_capped_in_bytes_match_single_node_rounds(self, monkeypatch):
         monkeypatch.setattr("scei.node._STACK_BYTES", 2 * 8 * ARCH.param_count)
@@ -182,8 +184,8 @@ class TestLocalRoundStack:
 
     @pytest.mark.parametrize("spare", [0, 1, 2])
     def test_trainer_processes_change_no_upload(self, spare, monkeypatch):
-        """With 0, 1 or 2 trainer processes beside the caller, every share of
-        the two train-length groups trains to the bits of a one-node round."""
+        """With 0, 1 or 2 trainer processes beside the caller, every share
+        trains to the bits of a one-node round."""
         own = min(os.sched_getaffinity(0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(own, own + spare + 1)))
         together = self.make_nodes()
@@ -202,23 +204,60 @@ class TestLocalRoundStack:
     @pytest.mark.parametrize("how", ["one cpu", "closed"])
     def test_trainers_without_processes_train_only_the_caller(self, how, monkeypatch):
         """With no trainer process, on one usable CPU or after close(),
-        train runs train_own here and returns no stack, and release does
-        nothing."""
+        train trains every node here, each into its own copy of the row a
+        one-node round gives it."""
         own = min(os.sched_getaffinity(0))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {own} if how == "one cpu" else {own, own + 1})
-        trainers = node_mod.Trainers(self.make_nodes(), ARCH)
+        nodes, alone = self.make_nodes(), self.make_nodes()
+        trainers = node_mod.Trainers(nodes, ARCH)
         trainers.close()
-        ran = []
         assert len(trainers) == 0
-        assert trainers.train(CFG, [], lambda: ran.append(True)) == []
-        trainers.release()
-        assert ran == [True]
+        assert trainers.train(CFG, nodes) == []
+        for node, single in zip(nodes, alone):
+            row = node_mod.sgd_train(single.personalized[None].copy(), ARCH, CFG, [single.split.train])[0]
+            assert np.array_equal(node.local_weights, row)
+            assert node.local_weights.base is None
+        assert len({id(node.local_weights) for node in nodes}) == len(nodes)
+
+    def test_one_stack_at_a_time_in_the_caller(self, monkeypatch):
+        """With one row per stack and no trainer, every stack the caller
+        trains is gone before it builds the next: it holds one at a time."""
+        monkeypatch.setattr("scei.node._STACK_BYTES", 8 * ARCH.param_count)
+        train, handed = node_mod.sgd_train, []
+
+        def spy(stack, *args):
+            assert [ref() for ref in handed] == [None] * len(handed)
+            handed.append(weakref.ref(stack))
+            return train(stack, *args)
+
+        monkeypatch.setattr(node_mod, "sgd_train", spy)
+        local_round(self.make_nodes(), ARCH, CFG, 1)
+        assert len(handed) == 5
 
     def test_importing_scei_loads_no_multiprocessing(self):
         """multiprocessing loads with the first trainers, not with the
         program: every process that imports scei would start 4 ms later."""
         done = subprocess.run(
             [sys.executable, "-c", "import sys, scei; print('multiprocessing' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(node_mod.__file__))),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout == "False\n"
+
+    def test_a_run_on_one_cpu_loads_no_multiprocessing(self):
+        """A run on one usable CPU forks no trainer, so it never loads
+        multiprocessing either."""
+        script = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from scei.harness import build_config, parse_config_file, run_experiment\n"
+            f"run_experiment(build_config(parse_config_file({CONFIG!r}), rounds=2))\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
             env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(node_mod.__file__))),
             capture_output=True,
             text=True,
