@@ -2,15 +2,16 @@
 
 Every record's hash covers its fields plus the previous hash, so editing any
 byte of a serialized ledger is detectable, and the first bad index localizes
-the damage. A forger who re-hashes every record from the edit on leaves a
-chain that verifies; only its new head hash gives it away.
+the damage; a load refuses such a dump at that index. A forger who re-hashes
+every record from the edit on leaves a chain that verifies and loads; only
+its new head hash gives it away.
 """
 
 import hashlib
 
 import numpy as np
 
-from scei import Ledger, RecordKind, verify_dump_bytes
+from scei import Ledger, LedgerFormatError, RecordKind, verify_dump_bytes
 from scei.ledger import HASH_LEN, encode_node_set, encode_params
 
 rng = np.random.default_rng(0)
@@ -22,7 +23,6 @@ for round_no in (1, 2, 3):
     book.append(round_no, RecordKind.GLOBAL_WEIGHTS, None, encode_params(rng.normal(size=16)))
 
 print(f"ledger holds {len(book)} records, head hash {book.head_hash.hex()[:16]}...")
-print(f"verify_chain: {'intact' if book.verify_chain() is None else 'tampered'}")
 
 blob = book.to_bytes()
 print(f"\nserialized dump: {len(blob)} bytes")
@@ -40,6 +40,10 @@ payload_at = 4 + 34  # past the frame length and the record header
 tampered = [bytearray(frame) for frame in frames]
 tampered[7][payload_at + 2] ^= 0x01
 print(f"after flipping one bit in record 7: first bad index = {verify_dump_bytes(b''.join(tampered))}")
+try:
+    Ledger.from_bytes(b"".join(tampered))
+except LedgerFormatError as refused:
+    print(f"Ledger.from_bytes refuses it at index {refused.index}: {refused}")
 
 # a cleverer forgery: rewrite record 7's payload in the dump and recompute
 # its own hash. The ledger itself is append-only, so a forger edits bytes.
@@ -62,6 +66,6 @@ print(f"self-consistent forgery of record 7: first bad index = {verify_dump_byte
 for prev, frame in zip(frames[7:], frames[8:]):
     rehash(frame, prev[-HASH_LEN:])
 forged = b"".join(frames)
-head = Ledger.from_bytes(forged).head_hash
-print(f"the whole chain re-hashed: first bad index = {verify_dump_bytes(forged)}, "
+head = Ledger.from_bytes(forged).head_hash  # it loads: every link and hash holds
+print(f"the whole chain re-hashed: first bad index = {verify_dump_bytes(forged)}, it loads, "
       f"head {head.hex()[:16]}... instead of {book.head_hash.hex()[:16]}...")

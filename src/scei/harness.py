@@ -27,6 +27,7 @@ import enum
 import glob
 import io
 import os
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -551,13 +552,14 @@ CONFIG_TABLE = {
 
 
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines of UTF-8 text; '#' starts a comment; blank
-    lines ignored; each key at most once. A refusal names the file and line
-    as `<file>, line N: ...`."""
+    """Flat `key = value` lines of UTF-8 text; '#' starts a comment at the
+    start of a line or after whitespace, so a value may hold one; blank lines
+    ignored; each key at most once. A refusal names the file and line as
+    `<file>, line N: ...`."""
     raw, lines = {}, {}
     with io.StringIO(_read_utf8(path), newline=None) as f:
         for lineno, line in enumerate(f, start=1):
-            stripped = line.split("#", 1)[0].strip()
+            stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not stripped:
                 continue
             if "=" not in stripped:

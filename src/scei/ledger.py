@@ -43,7 +43,13 @@ _FIXED_OVERHEAD = _HEADER.size + 2 * HASH_LEN  # header + prev_hash + hash
 
 
 class LedgerFormatError(ValueError):
-    """Serialized ledger bytes violate the documented layout."""
+    """Serialized ledger bytes violate the documented layout or do not chain.
+    index is the first bad record's index when a load refuses a dump, the one
+    verify_dump_bytes gives for the same bytes, and None otherwise."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message if index is None else f"record {index}: {message}")
+        self.index = index
 
 
 class RecordKind(enum.Enum):
@@ -254,33 +260,40 @@ def _hash_apart(records, threads):
     return held, hashed, error
 
 
-def _first_bad_index(records, hashed=None):
-    """(first bad index or None, how many records passed) for a chain, in one pass.
-
-    Records are checked as the iterable yields them, holding only the previous
-    hash; a bad record is one that is malformed, misplaced, mislinked or
-    wrongly hashed, and a walker that raises LedgerFormatError marks its own
-    index bad. An empty chain is bad at 0.
-
-    hashed maps a record's position in the walk to whether it hashes to its
-    stored hash, as _hash_apart found, taken only once the record's index,
-    place and link pass; a record without an entry is hashed in place.
-    """
+def _first_fault(records, hashed=None):
+    """(index, why) of a chain's first bad record, or (record count, None)
+    when every record passes. Records are checked as the iterable yields
+    them, holding only the previous hash; a walker that raises
+    LedgerFormatError marks its own index bad, and an empty chain is bad at 0.
+    hashed maps a position to whether that record hashes to its stored hash,
+    as _hash_apart found; a record without an entry is hashed in place."""
     hashed = hashed or {}
     prev, count = GENESIS_PREV_HASH, 0
     try:
         for rec in records:
-            if (
-                rec.index != count
-                or (rec.kind is RecordKind.GENESIS) != (count == 0)
-                or rec.prev_hash != prev
-                or not (hashed[count] if count in hashed else _hash_matches(rec))
-            ):
-                return count, count
+            if rec.index != count:
+                return count, f"index field reads {rec.index}"
+            if (rec.kind is RecordKind.GENESIS) != (count == 0):
+                return count, f"a {rec.kind.name} record cannot stand at index {count}"
+            if rec.prev_hash != prev:
+                return count, "previous-hash field does not link to the record before"
+            if not (hashed[count] if count in hashed else _hash_matches(rec)):
+                return count, "hash does not match the record's bytes"
             prev, count = rec.hash, count + 1
-    except LedgerFormatError:
-        return count, count
-    return (None if count else 0), count
+    except LedgerFormatError as exc:
+        return count, str(exc)
+    return count, (None if count else "empty dump")
+
+
+def _check(records):
+    """(records walked, first bad index or None, why) of a dump's records,
+    hashed on the pool as they are walked, then checked in order as a
+    record-by-record check would: a bad record beats a later malformed frame."""
+    held, hashed, error = _hash_apart(records, _hashing_threads())
+    count, why = _first_fault(held, hashed)
+    if error is not None and count == len(held):
+        why = str(error)
+    return held, (count if why else None), why
 
 
 def _check_id(name, value) -> None:
@@ -295,14 +308,14 @@ def _check_kind(kind) -> None:
 
 class Ledger:
     """Sequence of hash-chained records with a single deterministic append
-    point: records enter only through append and the two loaders."""
+    point: records enter only through append and the two loaders, which
+    refuse a chain that does not verify."""
 
     def __init__(self):
         genesis_hash = compute_hash(0, 0, RecordKind.GENESIS, None, b"", GENESIS_PREV_HASH)
         self._records = [
             LedgerRecord(0, 0, RecordKind.GENESIS, None, b"", GENESIS_PREV_HASH, genesis_hash)
         ]
-        self._first_bad = None
 
     def __len__(self) -> int:
         return len(self._records)
@@ -334,13 +347,11 @@ class Ledger:
         self._records.append(record)
         return record
 
-    def verify_chain(self) -> int | None:
-        """None when the chain is intact, else the first bad record index.
-
-        Nothing is walked or hashed: a ledger built by appending is intact, and
-        a loaded one reports what its load found, which appends cannot change.
-        """
-        return self._first_bad
+    def verify_chain(self) -> None:
+        """None for every Ledger, since appends keep the chain intact and the
+        loaders refuse a bad one. Kept only because the benchmark's load passes
+        call it and its tracer wraps it; ROADMAP item 3's benchmark change removes it."""
+        return None
 
     def query_round(self, round_no: int, kind: RecordKind) -> list:
         return [r for r in self._records if r.round_no == round_no and r.kind is kind]
@@ -378,21 +389,17 @@ class Ledger:
         when it is bytes): every payload is a view into that copy, every hash
         is bytes, and later writes to blob do not reach the records.
 
-        Every record is hashed as the dump is walked, and verify_chain reports
-        the first bad index that walk found, but a bad hash or link is not
-        refused here: only a malformed or empty dump raises LedgerFormatError."""
+        Every record is hashed as the dump is walked, and a dump that does not
+        verify raises LedgerFormatError carrying its first bad index."""
         return cls._load(_walk(memoryview(bytes(blob))))
 
     @classmethod
     def _load(cls, records) -> "Ledger":
-        held, hashed, error = _hash_apart(records, _hashing_threads())
-        if error is not None:
-            raise error
-        if not held:
-            raise LedgerFormatError("empty dump")
+        held, bad, why = _check(records)
+        if bad is not None:
+            raise LedgerFormatError(why, bad)
         ledger = cls.__new__(cls)
         ledger._records = held
-        ledger._first_bad = _first_bad_index(held, hashed)[0]
         return ledger
 
     def write_dump(self, path) -> None:
@@ -405,24 +412,16 @@ class Ledger:
         """Load a dump file as from_bytes loads a buffer, queueing each record
         for the hashing threads as soon as the chunk holding the end of its
         frame has been read: the file is read once, and the records view that
-        one read-only copy of it. verify_chain reports what the load found."""
+        one read-only copy of it. A dump from_bytes refuses is refused alike."""
         with open(path, "rb", buffering=0) as f:
             return cls._load(_read_records(f))
 
 
 def verify_dump_bytes(blob: bytes) -> int | None:
-    """First bad record index of a serialized ledger, None when it is intact.
-
-    A frame that cannot be parsed marks its own index bad, unless an earlier
-    record already failed; the records only live for this check, so their
-    payloads stay views into blob. Since the whole dump is in memory, every
-    record is hashed by the caller and one worker thread per usable CPU but
-    one as it is walked, as a load hashes it, and then the records are
-    checked in order; the index is the one a record-by-record check gives.
-    """
-    held, hashed, error = _hash_apart(_walk(memoryview(blob)), _hashing_threads())
-    bad, count = _first_bad_index(held, hashed)
-    return count if bad is None and error else bad
+    """First bad record index of a serialized ledger, None when it is intact:
+    the index a load of blob refuses it with. The records only live for this
+    check, so their payloads stay views into blob."""
+    return _check(_walk(memoryview(blob)))[1]
 
 
 def verify_dump_file(path):
@@ -434,7 +433,8 @@ def verify_dump_file(path):
     would hold a record per worker in fresh memory.
     """
     with open(path, "rb") as f:
-        return _first_bad_index(rec for frame in _file_frames(f) for rec in _walk(frame))
+        count, why = _first_fault(rec for frame in _file_frames(f) for rec in _walk(frame))
+    return (count if why else None), count
 
 
 # --- payload codecs -----------------------------------------------------------

@@ -670,6 +670,16 @@ attacks = 1:noise:10.0:1, 3:signflip:2
         with pytest.raises(ValueError, match="^config key 'grid_step': could not convert"):
             build_config({"grid_step": "wide"})
 
+    def test_a_hash_inside_a_value_is_part_of_it(self, tmp_path):
+        """'#' starts a comment only at the start of a line or after
+        whitespace, so an output path keeps a '#' of its own instead of being
+        cut at it."""
+        path = tmp_path / "exp.cfg"
+        out = tmp_path / "a#b.csv"
+        path.write_text(f"  # indented comment\nout = {out}\nrounds = 3  # note\nseed = 4\t# after a tab\n")
+        assert parse_config_file(path) == {"out": str(out), "rounds": "3", "seed": "4"}
+        assert build_config(parse_config_file(path)).output_path == str(out)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("bogus = 1\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import functools
 import hashlib
 import importlib.util
 import io
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scei.ledger as ledger_mod
+from scei.harness import build_config, run_experiment
 from scei.ledger import (
     GENESIS_PREV_HASH,
     Ledger,
@@ -37,7 +39,7 @@ from scei.ledger import (
     encode_params,
     verify_dump_bytes,
     verify_dump_file,
-    _first_bad_index,
+    _first_fault,
 )
 
 # the benchmark's dump reader, written apart from the program
@@ -294,7 +296,7 @@ class TestSerialization:
         """A hand-built frame parses to its fields, and its hash is compute_hash's."""
         kind = RecordKind.ACCURACY_LIST
         frame = oracle_frame(3, round_no, kind.value, node_id, payload, b"p" * 32)
-        (rec,) = Ledger.from_bytes(frame).records
+        (rec,) = ledger_mod._walk(memoryview(frame))
         rec_hash = compute_hash(3, round_no, kind, node_id, payload, b"p" * 32)
         assert rec == LedgerRecord(3, round_no, kind, node_id, payload, b"p" * 32, rec_hash)
         assert rec.hash == frame[-32:]
@@ -339,8 +341,9 @@ class TestTamperDetection:
         two_faults = bytes(blob[:-5])
         assert verify_dump_bytes(two_faults) == 3
         assert checks.read_dump(two_faults).first_bad == 3
-        with pytest.raises(LedgerFormatError, match="truncated"):
+        with pytest.raises(LedgerFormatError, match="^record 3: hash does not match the record's bytes$") as refused:
             Ledger.from_bytes(two_faults)
+        assert refused.value.index == 3
 
     def test_the_check_stops_at_the_first_fault(self):
         """Records are checked as they come: nothing past the first bad record
@@ -358,11 +361,11 @@ class TestTamperDetection:
                 pulled.append(i)
                 yield rec
 
-        assert _first_bad_index(stream(forged)) == (4, 4)
+        assert _first_fault(stream(forged)) == (4, "hash does not match the record's bytes")
         assert pulled == [0, 1, 2, 3, 4]
-        assert _first_bad_index(stream(records, fail_at=6)) == (6, 6)
-        assert _first_bad_index(stream(records)) == (None, 9)
-        assert _first_bad_index(iter(())) == (0, 0)
+        assert _first_fault(stream(records, fail_at=6)) == (6, "malformed")
+        assert _first_fault(stream(records)) == (9, None)
+        assert _first_fault(iter(())) == (0, "empty dump")
 
     def test_the_pooled_check_reports_the_first_fault(self, monkeypatch):
         """Every record is hashed on the pool as it is walked: with a hash
@@ -397,10 +400,11 @@ class TestTamperDetection:
             assert verify_dump_bytes(dump) == k
             assert verify_dump_bytes(dump[: _framed(dump)[k + 1] + 2] if k + 1 < len(frames) else dump) == k
 
-    def test_a_refused_load_hashes_nothing_the_walk_queued(self, monkeypatch):
-        """A load that ends in LedgerFormatError keeps no result, so with the
-        caller as the only worker it hashes none of the records it walked;
-        verify_dump_bytes still hashes them in place and reports the cut."""
+    def test_a_refused_load_checks_the_records_it_walked(self, monkeypatch):
+        """A load that ends in a malformed frame still checks every record it
+        walked before that frame, as verify_dump_bytes does, since an earlier
+        bad record would be the one to name. With the caller as the only
+        worker, each check hashes every walked record once, in place."""
         book = Ledger()
         for i in range(20):
             book.append(1, RecordKind.GLOBAL_WEIGHTS, None, bytes([i]) * 100_000)
@@ -409,9 +413,10 @@ class TestTamperDetection:
         real = ledger_mod._hash_matches
         monkeypatch.setattr(ledger_mod, "_hash_matches", lambda rec: hashed.append(rec.index) or real(rec))
         monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda: 0)
-        with pytest.raises(LedgerFormatError, match="truncated record frame"):
+        with pytest.raises(LedgerFormatError, match="^record 20: truncated record frame$") as refused:
             Ledger.from_bytes(cut)
-        assert hashed == []
+        assert refused.value.index == 20 and hashed == list(range(20))
+        hashed.clear()
         assert verify_dump_bytes(cut) == 20
         assert hashed == list(range(20))
 
@@ -549,9 +554,9 @@ class TestTamperDetection:
 
     def test_any_thread_count_gives_the_same_index(self, monkeypatch, tmp_path):
         """Pools of 0, 1 and 3 hashing threads report what the in-place check
-        reports, through verify_dump_bytes and through verify_chain after
-        either loader, with the interpreter lock passed between the workers
-        and the walk as often as it can be."""
+        reports, through verify_dump_bytes and through the index either
+        loader refuses the dump at, with the interpreter lock passed between
+        the workers and the walk as often as it can be."""
         blob = build_ledger(8, payload_size=40).to_bytes()
         offsets = _framed(blob)
         faulty = [blob, blob[:-5]] + [
@@ -561,18 +566,15 @@ class TestTamperDetection:
         sys.setswitchinterval(1e-6)
         try:
             for i, dump in enumerate(faulty):
-                expected = _first_bad_index(ledger_mod._walk(memoryview(dump)))[0]
+                count, why = _first_fault(ledger_mod._walk(memoryview(dump)))
+                expected = count if why else None
                 path = tmp_path / f"ledger-{i}.bin"
                 path.write_bytes(dump)
                 for threads in (0, 1, 3):
                     monkeypatch.setattr(ledger_mod, "_hashing_threads", lambda threads=threads: threads)
                     assert verify_dump_bytes(dump) == expected
-                    from_buffer = _load(lambda: Ledger.from_bytes(dump))
-                    from_file = _load(lambda: Ledger.read_dump(path))
-                    assert (from_buffer is None) == (from_file is None)
-                    for loaded in (from_buffer, from_file):
-                        if loaded is not None:
-                            assert loaded.verify_chain() == expected
+                    assert _refused_at(lambda: Ledger.from_bytes(dump)) == expected
+                    assert _refused_at(lambda: Ledger.read_dump(path)) == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -587,7 +589,7 @@ def _load_from(loader, blob, tmp_path):
 
 class TestLoadChecks:
     """A load hashes every record once and checks the chain as it walks, and
-    verify_chain reports what that walk found without hashing anything."""
+    refuses a chain that does not verify; verify_chain hashes nothing."""
 
     @pytest.fixture
     def hashed(self, monkeypatch):
@@ -602,42 +604,36 @@ class TestLoadChecks:
     def test_what_changed_after_the_load_is_hashed(self, loader, k, hashed, tmp_path):
         """Whatever a dump changed at frame k is found once the load has
         hashed it: each splice of _splices is reported at the same index by
-        the independent reader and the four checks, the load hashes every
-        record it keeps once, and verify_chain hashes none."""
+        the independent reader and the four checks, and the load that refuses
+        it hashes every record it walked once, those past the bad one too."""
         frames = _frames(build_ledger(8, payload_size=4000).to_bytes())
         for name, dump, expected in _splices(frames, k):
             assert checks.read_dump(dump).first_bad == expected, name
             assert _four_checks(dump, tmp_path) == [expected] * 4, name
             hashed.clear()
-            loaded = _load_from(loader, dump, tmp_path)
-            assert sorted(map(id, hashed)) == sorted(map(id, loaded.records)), name
-            hashed.clear()
-            assert loaded.verify_chain() == expected and hashed == [], name
+            assert _refused_at(lambda: _load_from(loader, dump, tmp_path)) == expected, name
+            assert len(set(map(id, hashed))) == len(hashed) == len(_framed(dump)), name
 
     def test_the_head_can_go_and_an_honest_append_verifies(self, hashed):
         """A dump cut at a frame boundary loads intact, and a record appended
-        to it keeps it intact; one appended to a ledger loaded bad at 4 leaves
-        it bad at 4. verify_chain hashes nothing either way."""
+        to it keeps it intact. verify_chain hashes nothing."""
         frames = _frames(build_ledger(8).to_bytes())
-        for dump, expected in ((frames[:-1], None), (frames[:4] + [_edited_frame(frames[4])] + frames[5:], 4)):
-            loaded = Ledger.from_bytes(b"".join(dump))
-            loaded.append(3, RecordKind.ACCURACY_LIST, None, b"late")
-            hashed.clear()
-            assert loaded.verify_chain() == expected and hashed == []
-            assert verify_dump_bytes(loaded.to_bytes()) == expected
+        loaded = Ledger.from_bytes(b"".join(frames[:-1]))
+        loaded.append(3, RecordKind.ACCURACY_LIST, None, b"late")
+        hashed.clear()
+        assert loaded.verify_chain() is None and hashed == []
+        assert verify_dump_bytes(loaded.to_bytes()) is None
 
     def test_writes_to_the_loaded_bytearray_reach_neither_records_nor_check(self):
-        """from_bytes copies a bytearray once: mending or zeroing it after the
-        load leaves the records and verify_chain's answer as they were."""
+        """from_bytes copies a bytearray once: editing or zeroing it after the
+        load leaves the records as they were, and their dump still verifies."""
         blob = bytearray(build_ledger(8, payload_size=64).to_bytes())
         at = _framed(bytes(blob))[4] + 4 + 34 + 10  # a payload byte of record 4
-        blob[at] ^= 1
         loaded = Ledger.from_bytes(blob)
         records = [dataclasses.replace(rec, payload=bytes(rec.payload)) for rec in loaded.records]
-        assert loaded.verify_chain() == 4
         for write in (lambda: blob.__setitem__(at, blob[at] ^ 1), lambda: blob.__setitem__(slice(None), bytes(len(blob)))):
             write()
-            assert loaded.verify_chain() == 4 and list(loaded.records) == records
+            assert list(loaded.records) == records and verify_dump_bytes(loaded.to_bytes()) is None
 
     def test_a_load_leaves_the_caller_as_it_found_it(self, tmp_path, monkeypatch):
         """After a clean load, a malformed dump and an OSError raised mid-read,
@@ -723,16 +719,28 @@ def _splices(frames, k):
 
 
 def _four_checks(dump, tmp_path):
-    """The first bad index of a well-framed dump by verify_dump_bytes,
-    verify_dump_file, and verify_chain after either loader."""
+    """The first bad index of a dump by verify_dump_bytes, verify_dump_file,
+    and the index either loader refuses it at."""
     path = tmp_path / "ledger.bin"
     path.write_bytes(dump)
     return [
         verify_dump_bytes(dump),
         verify_dump_file(path)[0],
-        Ledger.from_bytes(dump).verify_chain(),
-        Ledger.read_dump(path).verify_chain(),
+        _refused_at(lambda: Ledger.from_bytes(dump)),
+        _refused_at(lambda: Ledger.read_dump(path)),
     ]
+
+
+def _refused_at(loader):
+    """The index a load refuses its dump at, named first in the error's
+    message, or None when it loads, with verify_chain None."""
+    try:
+        loaded = loader()
+    except LedgerFormatError as exc:
+        assert str(exc).startswith(f"record {exc.index}: ")
+        return exc.index
+    assert loaded.verify_chain() is None
+    return None
 
 
 _AGREEMENT_BLOB = build_ledger(8, payload_size=40).to_bytes()
@@ -767,7 +775,7 @@ class TestLoaderAgreement:
     @settings(max_examples=300, deadline=None)
     def test_file_and_buffer_loaders_agree(self, kind, a, b):
         """read_dump(file) and from_bytes(bytes) load equal records or both
-        refuse the dump, and verify_dump_bytes reports what the load shows."""
+        refuse the dump at the index the three checks report."""
         _assert_loaders_agree(_edited(kind, a, b))
 
     @given(
@@ -781,22 +789,44 @@ class TestLoaderAgreement:
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}):
             _assert_loaders_agree(_edited(kind, a, b))
 
+    @given(st.booleans(), st.integers(0, 2**20), st.integers(1, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_a_real_runs_dump_is_refused_where_the_checks_say(self, cut, at, mask):
+        """Every single-byte flip and every tail cut of a small run's dump:
+        a flip is always bad, and a cut is bad unless it falls on a frame
+        boundary; the loaders refuse each bad dump at the checks' index."""
+        blob = _small_run_dump()
+        at %= len(blob)
+        edited = blob[:at] if cut else blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1 :]
+        _assert_loaders_agree(edited)
+        assert (verify_dump_bytes(edited) is None) == (cut and at > 0 and at in _framed(blob))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_run_dump():
+    """The dump of a two-round scei run of three small nodes."""
+    raw = dict(
+        synthetic_classes="4", synthetic_per_class="60", synthetic_input_dim="4", nodes="3",
+        samples_per_node="40", labels_per_node="2", hidden="4,4", rounds="2", local_epochs="1",
+    )
+    return run_experiment(build_config(raw)).ledger.to_bytes()
+
 
 def _assert_loaders_agree(blob):
+    """Both loaders refuse blob at the index verify_dump_bytes,
+    verify_dump_file and the independent reader report, or load it to equal
+    records when all three find it intact."""
+    bad = verify_dump_bytes(blob)
+    assert checks.read_dump(blob).first_bad == bad
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ledger.bin")
         with open(path, "wb") as f:
             f.write(blob)
-        from_file = _load(lambda: Ledger.read_dump(path))
-    from_buffer = _load(lambda: Ledger.from_bytes(blob))
-    bad = verify_dump_bytes(blob)
-    if from_buffer is None:
-        assert from_file is None
-        assert bad is not None
-    else:
-        assert from_file is not None
-        assert from_file.records == from_buffer.records
-        assert bad == from_buffer.verify_chain()
+        assert verify_dump_file(path)[0] == bad
+        assert _refused_at(lambda: Ledger.read_dump(path)) == bad
+        assert _refused_at(lambda: Ledger.from_bytes(blob)) == bad
+        if bad is None:
+            assert Ledger.read_dump(path).records == Ledger.from_bytes(blob).records
 
 
 class TestPayloadCodecs:
